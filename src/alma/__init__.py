@@ -28,7 +28,6 @@ from .tensors import (
     mode1_product,
     mode23_product,
     read_tensor,
-    tensor_spectral_norm,
     write_tensor,
 )
 from .linalg import EigPairs, polar_project, rank_project, svd_top_left, sym_eig_topk
@@ -56,7 +55,6 @@ from .clustering import (
     ClusteringResult,
     KmeansConfig,
     KmeansResult,
-    between_layer_labels,
     cluster_factor_pair,
     kmeans,
     within_layer_labels,
@@ -71,13 +69,7 @@ from .metrics import (
 )
 from .initialization import clustering_to_w, spectral_init
 from .solver import AlmaConfig, FactorPair, alma_fit, objective, q_update, w_update
-from .twist import (
-    TwistConfig,
-    regularize_rows,
-    twist_default_inits,
-    twist_fit,
-    twist_postprocess,
-)
+from .twist import TwistConfig, regularize_rows, twist_fit
 from .diagnostics import (
     A1Report,
     ConditionNumbers,
@@ -93,6 +85,7 @@ from .harness import (
     aggregate,
     elbow_scan,
     emit_results,
+    fit_method,
     run_scenario,
     run_single,
     scenario_config,

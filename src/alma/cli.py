@@ -17,17 +17,16 @@ import sys
 
 import numpy as np
 
-from .clustering import cluster_factor_pair
 from .diagnostics import beta_nl, check_a1, condition_numbers, kappa_h
 from .harness import (
     ScenarioConfig,
     elbow_scan,
     emit_results,
+    fit_method,
     run_scenario,
     scenario_config,
 )
 from .initialization import spectral_init
-from .linalg import sym_eig_topk
 from .model import assemble_ground_truth, load_instance, save_instance
 from .sampling import (
     sample_adjacency,
@@ -36,9 +35,8 @@ from .sampling import (
     read_edge_list,
     write_edge_list,
 )
-from .solver import AlmaConfig, alma_fit, objective
+from .solver import objective
 from .tensors import read_tensor, write_tensor
-from .twist import TwistConfig, twist_fit, twist_postprocess
 
 
 def _add_generate(sub):
@@ -116,22 +114,14 @@ def _cmd_fit(args) -> int:
     m = args.groups
     ranks = _parse_ranks(args.communities, m)
     w1 = spectral_init(a, m, substream(args.seed, 2), restarts=args.restarts)
-    if args.method == "alma":
-        fit = alma_fit(a, ranks, w1, AlmaConfig(eps_stop=args.eps, max_iter=args.max_iter))
-        res = cluster_factor_pair(a, fit.w, ranks, substream(args.seed, 3),
-                                  restarts=args.restarts)
-        info = {
-            "iters": fit.iters_used,
-            "converged": fit.converged,
-            "objective": objective(a, fit.q, fit.w),
-        }
-    else:
-        tcfg = TwistConfig(M=m, r=args.twist_r, iter_max=args.twist_iters)
-        u0 = sym_eig_topk(a.array.sum(axis=0), args.twist_r, by_magnitude=True).vectors
-        _, w_hat = twist_fit(a, tcfg, u0, w1)
-        res = twist_postprocess(a, w_hat, ranks, substream(args.seed, 4),
-                                restarts=args.restarts)
-        info = {"iters": args.twist_iters, "converged": True}
+    res, iters, converged, fit = fit_method(
+        a, args.method, ranks, w1, (args.seed,),
+        eps_stop=args.eps, max_iter=args.max_iter, restarts=args.restarts,
+        twist_r=args.twist_r, twist_iter_max=args.twist_iters,
+    )
+    info = {"iters": iters, "converged": converged}
+    if fit is not None:
+        info["objective"] = objective(a, fit.q, fit.w)
     payload = {
         "method": args.method,
         "layer_labels": res.layer_labels.tolist(),
@@ -232,18 +222,17 @@ def _cmd_elbow(args) -> int:
         a, range(args.m_min, args.m_max + 1), args.communities,
         master_seed=args.seed, eps_stop=args.eps, max_iter=args.max_iter,
     )
-    print("m,objective,iters,converged")
-    for row in rows:
-        print(f"{row.m},{row.objective!r},{row.iters},{str(row.converged).lower()}")
+    lines = ["m,objective,iters,converged"] + [
+        f"{row.m},{row.objective!r},{row.iters},{str(row.converged).lower()}"
+        for row in rows
+    ]
+    text = "\n".join(lines)
+    print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "elbow.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("m,objective,iters,converged\n")
-            for row in rows:
-                fh.write(
-                    f"{row.m},{row.objective!r},{row.iters},{str(row.converged).lower()}\n"
-                )
+            fh.write(text + "\n")
         print(path)
     return 0
 

@@ -105,12 +105,6 @@ def kmeans(points: np.ndarray, cfg: KmeansConfig, rng) -> KmeansResult:
     return best
 
 
-def between_layer_labels(w_hat: np.ndarray, m: int, rng, restarts: int = 20) -> np.ndarray:
-    """Cluster the rows of a fitted layer factor into m layer groups."""
-    w_hat = np.asarray(w_hat, dtype=np.float64)
-    return kmeans(w_hat, KmeansConfig(k=m, restarts=restarts), rng).labels
-
-
 def within_layer_labels(
     affinity: np.ndarray, k: int, rng, restarts: int = 20, by_magnitude: bool = True
 ) -> np.ndarray:

@@ -5,6 +5,7 @@ with more or fewer layers than nodes (3, 4). Every (grid point, replicate)
 task derives all of its randomness from the master seed and its own integer
 path, so runs can fan out across processes and still produce byte-identical
 results; wall-clock seconds are the only nondeterministic column.
+:func:`fit_method` is the fit pipeline shared by the cells and ``alma fit``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
 from .solver import AlmaConfig, alma_fit, objective
 from .tensors import Tensor3
-from .twist import TwistConfig, twist_fit, twist_postprocess
+from .twist import TwistConfig, twist_fit
 
 METHODS = ("alma", "twist")
 
@@ -146,6 +147,36 @@ def _seed_id(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def fit_method(
+    a: Tensor3, method: str, ranks, w_init: np.ndarray, seed_path, *,
+    eps_stop: float, max_iter: int, restarts: int, twist_r: int, twist_iter_max: int,
+):
+    """Fit one method from a layer-factor warm start and extract its labels.
+
+    ``method`` is ``"alma"`` (alternating sweeps) or ``"twist"`` (the Tucker
+    baseline, warm-started with the top ``twist_r`` eigenvectors of the layer
+    sum). Labels come from :func:`cluster_factor_pair` on stream
+    ``substream(*seed_path, 3)`` for alma and ``substream(*seed_path, 4)`` for
+    twist. Returns ``(result, iters, converged, fit)``, where ``fit`` is the
+    alma :class:`FactorPair` and None for twist.
+    """
+    if method == "alma":
+        fit = alma_fit(a, ranks, w_init, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
+        res = cluster_factor_pair(
+            a, fit.w, ranks, substream(*seed_path, _STAGE_ALMA_CLUSTER), restarts=restarts
+        )
+        return res, fit.iters_used, fit.converged, fit
+    if method != "twist":
+        raise ValueError(f"unknown method {method!r}")
+    u0 = sym_eig_topk(a.array.sum(axis=0), twist_r, by_magnitude=True).vectors
+    tcfg = TwistConfig(M=len(ranks), r=twist_r, iter_max=twist_iter_max)
+    _, w_hat = twist_fit(a, tcfg, u0, w_init)
+    res = cluster_factor_pair(
+        a, w_hat, ranks, substream(*seed_path, _STAGE_TWIST_CLUSTER), restarts=restarts
+    )
+    return res, twist_iter_max, True, None
+
+
 def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
     """All method records for one (grid point, replicate) cell."""
     value = cfg.grid[grid_idx]
@@ -170,28 +201,12 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
         iters = 0
         converged = False
         try:
-            if method == "alma":
-                fit = alma_fit(
-                    a, ranks, w1,
-                    AlmaConfig(eps_stop=cfg.eps_stop, max_iter=cfg.max_iter),
-                )
-                res = cluster_factor_pair(
-                    a, fit.w, ranks,
-                    substream(cfg.master_seed, *path, _STAGE_ALMA_CLUSTER),
-                    restarts=cfg.kmeans_restarts,
-                )
-                iters, converged = fit.iters_used, fit.converged
-            else:
-                tcfg = TwistConfig(M=cfg.M, r=cfg.twist_r, iter_max=cfg.twist_iter_max)
-                summed = a.array.sum(axis=0)
-                u0 = sym_eig_topk(summed, cfg.twist_r, by_magnitude=True).vectors
-                _, w_hat = twist_fit(a, tcfg, u0, w1)
-                res = twist_postprocess(
-                    a, w_hat, ranks,
-                    substream(cfg.master_seed, *path, _STAGE_TWIST_CLUSTER),
-                    restarts=cfg.kmeans_restarts,
-                )
-                iters, converged = cfg.twist_iter_max, True
+            res, iters, converged, _ = fit_method(
+                a, method, ranks, w1, (cfg.master_seed, *path),
+                eps_stop=cfg.eps_stop, max_iter=cfg.max_iter,
+                restarts=cfg.kmeans_restarts,
+                twist_r=cfg.twist_r, twist_iter_max=cfg.twist_iter_max,
+            )
             score = score_result(inst, res)
             r_bl, r_wl = score.r_bl, score.r_wl
         except EstimationError:
@@ -256,22 +271,10 @@ class ElbowRow:
     converged: bool
 
 
-def _elbow_ranks(k_rule, m: int) -> tuple:
-    if callable(k_rule):
-        ranks = k_rule(m)
-        if isinstance(ranks, int):
-            return (ranks,) * m
-        ranks = tuple(int(r) for r in ranks)
-        if len(ranks) != m:
-            raise ValueError(f"rank rule returned {len(ranks)} ranks for m={m}")
-        return ranks
-    return (int(k_rule),) * m
-
-
 def elbow_scan(
     a: Tensor3,
     m_grid,
-    k_rule,
+    k: int,
     master_seed: int = 0,
     eps_stop: float = 1e-4,
     max_iter: int = 100,
@@ -279,11 +282,11 @@ def elbow_scan(
 ) -> list:
     """Final fit objective for each candidate group count.
 
-    ``k_rule`` is a constant community count, or a callable m -> count (or
-    per-group counts). The objective decreases in m; the largest successive
-    drop marks the group count to pick. A candidate m whose fit degenerates
-    (rank-deficient Procrustes step, typical for m above the true group count
-    on clean data) is recorded as a NaN row rather than dropped.
+    Every group of a candidate m gets ``k`` communities. The objective
+    decreases in m; the largest successive drop marks the group count to pick.
+    A candidate m whose fit degenerates (rank-deficient Procrustes step,
+    typical for m above the true group count on clean data) is recorded as a
+    NaN row rather than dropped.
     """
     L = a.dims[0]
     rows = []
@@ -297,7 +300,7 @@ def elbow_scan(
                 restarts=kmeans_restarts,
             )
             fit = alma_fit(
-                a, _elbow_ranks(k_rule, m), w1,
+                a, (int(k),) * m, w1,
                 AlmaConfig(eps_stop=eps_stop, max_iter=max_iter),
             )
             rows.append(ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used, fit.converged))
@@ -465,6 +468,9 @@ def emit_results(records, out_dir, formats=("csv",), sweep_param: str = "") -> d
     """Write runs.csv / summary.csv and optionally curves.svg; returns paths."""
     import os
 
+    unknown = set(formats) - {"csv", "svg"}
+    if unknown:
+        raise ValueError(f"unknown emit formats: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     if "csv" in formats:
@@ -477,7 +483,4 @@ def emit_results(records, out_dir, formats=("csv",), sweep_param: str = "") -> d
             sweep_param = records[0].sweep_param
         paths["curves"] = os.path.join(out_dir, "curves.svg")
         write_curves_svg(records, paths["curves"], sweep_param)
-    unknown = set(formats) - {"csv", "svg"}
-    if unknown:
-        raise ValueError(f"unknown emit formats: {sorted(unknown)}")
     return paths

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPartitionError
-from .tensors import Tensor3, mode1_product
+from .tensors import Tensor3
 
 
 def _as_labels(x, length, upper, what):
@@ -149,14 +149,6 @@ def assemble_ground_truth(inst: MmlsbmInstance) -> GroundTruth:
     w = np.zeros((L, M))
     w[np.arange(L), inst.layer_labels] = 1.0 / np.sqrt(sizes[inst.layer_labels])
     return GroundTruth(Tensor3(p), Tensor3(q_zero), w, Tensor3(q_full))
-
-
-def ground_truth_residual(gt: GroundTruth) -> float:
-    """Frobenius gap between p_star and the factored form (should be ~0)."""
-    from .tensors import frobenius_norm
-
-    rebuilt = mode1_product(gt.q_star, gt.w_star)
-    return frobenius_norm(Tensor3(gt.p_star.array - rebuilt.array))
 
 
 def instance_to_json(inst: MmlsbmInstance) -> dict:

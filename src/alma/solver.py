@@ -58,7 +58,7 @@ class FactorPair:
 def objective(a: Tensor3, q: Tensor3, w: np.ndarray) -> float:
     """Frobenius norm of A - Q x1 W^T."""
     rebuilt = mode1_product(q, np.asarray(w, dtype=np.float64))
-    return frobenius_norm(Tensor3(a.array - rebuilt.array))
+    return frobenius_norm(a.array - rebuilt.array)
 
 
 def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:

@@ -13,7 +13,6 @@ not a copy, and :func:`mode1_dematricize` inverts it by reshaping.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +58,6 @@ class Tensor3:
     def zeros(cls, dims) -> "Tensor3":
         d1, d2, d3 = (int(d) for d in dims)
         return cls._wrap(np.zeros((d1, d3, d2)))
-
-    @classmethod
-    def from_slices(cls, slices) -> "Tensor3":
-        """Stack equally shaped 2-d arrays along the first mode."""
-        mats = [np.asarray(s, dtype=np.float64) for s in slices]
-        return cls(np.stack(mats, axis=0))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -144,71 +137,6 @@ def frobenius_norm(x) -> float:
     if isinstance(x, Tensor3):
         return float(np.linalg.norm(x._store))
     return float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
-
-
-class SpectralNormResult(NamedTuple):
-    value: float
-    converged: bool
-
-
-def tensor_spectral_norm(
-    x: Tensor3,
-    restarts: int = 5,
-    max_iter: int = 500,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> SpectralNormResult:
-    """Largest rank-1 contraction max <x, u1 o u2 o u3> over unit vectors.
-
-    Alternating power iteration from ``restarts`` random starts, deterministic
-    for a fixed seed. The returned value is a lower bound on the tensor
-    spectral norm and never exceeds the Frobenius norm; ``converged`` reports
-    whether the best restart met the tolerance within ``max_iter`` sweeps.
-    """
-    arr = x.array
-    fro = frobenius_norm(x)
-    if fro == 0.0:
-        return SpectralNormResult(0.0, True)
-    best_sigma = 0.0
-    best_converged = False
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
-        u2 = rng.standard_normal(x.dims[1])
-        u3 = rng.standard_normal(x.dims[2])
-        u2 /= np.linalg.norm(u2)
-        u3 /= np.linalg.norm(u3)
-        sigma_prev = -1.0
-        sigma = 0.0
-        converged = False
-        for _ in range(max_iter):
-            v1 = np.einsum("ajk,j,k->a", arr, u2, u3)
-            n1 = np.linalg.norm(v1)
-            if n1 == 0.0:
-                sigma = 0.0
-                converged = True
-                break
-            u1 = v1 / n1
-            v2 = np.einsum("ajk,a,k->j", arr, u1, u3)
-            n2 = np.linalg.norm(v2)
-            if n2 == 0.0:
-                sigma = 0.0
-                converged = True
-                break
-            u2 = v2 / n2
-            v3 = np.einsum("ajk,a,j->k", arr, u1, u2)
-            sigma = float(np.linalg.norm(v3))
-            if sigma == 0.0:
-                converged = True
-                break
-            u3 = v3 / sigma
-            if abs(sigma - sigma_prev) <= tol * max(1.0, sigma):
-                converged = True
-                break
-            sigma_prev = sigma
-        if sigma > best_sigma:
-            best_sigma = sigma
-            best_converged = converged
-    return SpectralNormResult(min(best_sigma, fro), best_converged)
 
 
 def write_tensor(x: Tensor3, path, flavor: str = "f8") -> None:

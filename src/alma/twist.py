@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringResult, cluster_factor_pair
-from .initialization import spectral_init
-from .linalg import svd_top_left, sym_eig_topk
+from .linalg import svd_top_left
 from .tensors import Tensor3
 
 
@@ -103,22 +101,3 @@ def twist_fit(a: Tensor3, cfg: TwistConfig, u_init: np.ndarray, w_init: np.ndarr
         u_t = regularize_rows(u_new, _delta(cfg.delta1, u_new), cfg.r)
         w_t = regularize_rows(w_new, _delta(cfg.delta2, w_new), cfg.M)
     return u_t, w_t
-
-
-def twist_default_inits(a: Tensor3, cfg: TwistConfig, rng, restarts: int = 20):
-    """Warm starts: layer-summed adjacency eigenvectors for U, spectral init for W."""
-    summed = a.array.sum(axis=0)
-    u0 = sym_eig_topk(summed, cfg.r, by_magnitude=True).vectors
-    w0 = spectral_init(a, cfg.M, rng, restarts=restarts)
-    return u0, w0
-
-
-def twist_postprocess(a: Tensor3, w_hat: np.ndarray, ranks, rng, restarts: int = 20) -> ClusteringResult:
-    """Labels from a fitted layer factor (no core tensor available).
-
-    Delegates to the same post-pipeline the alternating estimator uses, so a
-    method comparison isolates the between-layer estimate: k-means on the rows
-    of w_hat, then spectral clustering of each estimated group's mean
-    adjacency slice.
-    """
-    return cluster_factor_pair(a, w_hat, ranks, rng, restarts=restarts)

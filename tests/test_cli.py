@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from alma.cli import build_parser, main
+from alma.harness import fit_method
+from alma.initialization import spectral_init
+from alma.sampling import substream
+from alma.tensors import read_tensor
 
 
 def run_cli(argv, capsys):
@@ -77,6 +81,27 @@ def test_fit_from_edge_list(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["method"] == "alma"
+
+
+@pytest.mark.parametrize("method", ["alma", "twist"])
+def test_fit_prints_the_fit_method_result(tmp_path, capsys, method):
+    generate_small(tmp_path, capsys)
+    path = tmp_path / "adjacency.bin"
+    code, out = run_cli(
+        ["fit", "--input", str(path), "--groups", "2", "--communities", "2",
+         "--method", method, "--seed", "9"],
+        capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    a = read_tensor(path)
+    res, iters, converged, _ = fit_method(
+        a, method, (2, 2), spectral_init(a, 2, substream(9, 2), restarts=20), (9,),
+        eps_stop=1e-4, max_iter=100, restarts=20, twist_r=7, twist_iter_max=50,
+    )
+    assert payload["layer_labels"] == res.layer_labels.tolist()
+    assert payload["node_labels"] == [g.tolist() for g in res.node_labels]
+    assert (payload["iters"], payload["converged"]) == (iters, converged)
 
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):

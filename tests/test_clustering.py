@@ -4,7 +4,6 @@ import pytest
 from alma.clustering import (
     KmeansConfig,
     KmeansResult,
-    between_layer_labels,
     cluster_factor_pair,
     kmeans,
     within_layer_labels,
@@ -70,7 +69,7 @@ def test_kmeans_rejects_too_few_points(rng):
 
 def test_between_layer_labels_exact_on_true_factor():
     inst, gt = make_truth(3, n=20, L=15, m=3, k=2)
-    labels = between_layer_labels(gt.w_star, 3, substream(3, 5))
+    labels = kmeans(gt.w_star, KmeansConfig(k=3), substream(3, 5)).labels
     rate, _ = best_permutation_error(inst.layer_labels, labels, 3)
     assert rate == 0.0
 
@@ -78,7 +77,7 @@ def test_between_layer_labels_exact_on_true_factor():
 def test_between_layer_labels_stable_under_small_noise():
     inst, gt = make_truth(4, n=20, L=15, m=3, k=2)
     w = gt.w_star + 1e-6 * np.random.default_rng(0).normal(size=gt.w_star.shape)
-    labels = between_layer_labels(w, 3, substream(4, 5))
+    labels = kmeans(w, KmeansConfig(k=3), substream(4, 5)).labels
     rate, _ = best_permutation_error(inst.layer_labels, labels, 3)
     assert rate == 0.0
 

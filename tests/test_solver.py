@@ -148,5 +148,6 @@ def test_alma_fit_nonfinite_objective_raises():
     seed = rng.normal(size=(4, 2))
     seed[0] = 0.0
     w0 = np.linalg.qr(seed)[0]
-    with pytest.raises(NonFiniteObjectiveError):
+    with pytest.raises(NonFiniteObjectiveError), \
+            pytest.warns(RuntimeWarning, match="overflow"):
         alma_fit(a, (2, 2), w0, AlmaConfig(record_trace=True))

@@ -11,7 +11,6 @@ from alma.tensors import (
     mode1_product,
     mode23_product,
     read_tensor,
-    tensor_spectral_norm,
     write_tensor,
 )
 
@@ -34,7 +33,7 @@ def small_tensors(max_dim=4):
 
 def test_matricization_column_major_within_slice():
     # one 2x2 slice [[1,2],[3,4]] unfolds to the row (1,3,2,4): columns stacked
-    t = Tensor3.from_slices([np.array([[1.0, 2.0], [3.0, 4.0]])])
+    t = Tensor3(np.stack([np.array([[1.0, 2.0], [3.0, 4.0]])]))
     row = mode1_matricize(t)
     assert row.shape == (1, 4)
     assert row.tolist() == [[1.0, 3.0, 2.0, 4.0]]
@@ -67,7 +66,7 @@ def test_slice_view_is_read_only():
 def test_from_slices_matches_constructor():
     rng = np.random.default_rng(2)
     arr = rng.normal(size=(3, 2, 2))
-    assert Tensor3.from_slices(list(arr)) == Tensor3(arr)
+    assert Tensor3(np.stack(list(arr))) == Tensor3(arr)
 
 
 def test_zeros_and_equality():
@@ -100,8 +99,8 @@ def test_mode1_product_matches_matrix_unfolding(t, rows, seed):
 
 
 def test_mode23_product_hand_value():
-    x = Tensor3.from_slices([np.array([[1.0, 2.0], [3.0, 4.0]])])
-    y = Tensor3.from_slices([np.array([[5.0, 6.0], [7.0, 8.0]])])
+    x = Tensor3(np.stack([np.array([[1.0, 2.0], [3.0, 4.0]])]))
+    y = Tensor3(np.stack([np.array([[5.0, 6.0], [7.0, 8.0]])]))
     # single entry: the slice inner product 5 + 12 + 21 + 32
     assert mode23_product(x, y).tolist() == [[70.0]]
 
@@ -121,28 +120,6 @@ def test_frobenius_matches_numpy():
     rng = np.random.default_rng(3)
     arr = rng.normal(size=(2, 3, 4))
     assert frobenius_norm(Tensor3(arr)) == pytest.approx(np.linalg.norm(arr))
-
-
-def test_spectral_norm_rank_one_exact():
-    u = np.array([3.0, 4.0])  # norm 5
-    v = np.array([1.0, 0.0, 0.0])
-    w = np.array([0.0, 2.0])  # norm 2
-    t = Tensor3(np.einsum("i,j,k->ijk", u, v, w))
-    res = tensor_spectral_norm(t)
-    assert res.converged
-    assert res.value == pytest.approx(10.0, rel=1e-9)
-
-
-def test_spectral_norm_bounded_by_frobenius():
-    rng = np.random.default_rng(4)
-    t = Tensor3(rng.normal(size=(3, 4, 5)))
-    res = tensor_spectral_norm(t)
-    assert 0.0 < res.value <= frobenius_norm(t) + 1e-12
-
-
-def test_spectral_norm_deterministic():
-    t = Tensor3(np.random.default_rng(5).normal(size=(2, 3, 3)))
-    assert tensor_spectral_norm(t).value == tensor_spectral_norm(t).value
 
 
 def test_write_read_float_round_trip(tmp_path):

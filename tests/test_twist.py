@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
 
+from alma.harness import fit_method
+from alma.initialization import spectral_init
+from alma.linalg import sym_eig_topk
 from alma.metrics import score_result
 from alma.sampling import substream
-from alma.twist import (
-    TwistConfig,
-    regularize_rows,
-    twist_default_inits,
-    twist_fit,
-    twist_postprocess,
-)
+from alma.twist import TwistConfig, regularize_rows, twist_fit
 from conftest import make_noisy, make_truth
+
+
+def default_inits(a, cfg, rng):
+    # the warm starts fit_method uses: layer-sum eigenvectors for U, spectral init for W
+    u0 = sym_eig_topk(a.array.sum(axis=0), cfg.r, by_magnitude=True).vectors
+    return u0, spectral_init(a, cfg.M, rng)
+
+
+def fit_twist(a, ranks, r, iter_max, seed):
+    w0 = spectral_init(a, len(ranks), substream(seed, 2))
+    res, _, _, _ = fit_method(
+        a, "twist", ranks, w0, (seed,), eps_stop=1e-4, max_iter=100,
+        restarts=20, twist_r=r, twist_iter_max=iter_max,
+    )
+    return res
 
 
 def test_config_validation():
@@ -62,7 +74,7 @@ def test_regularize_rows_validation(rng):
 def test_twist_fit_shapes_and_orthonormality():
     _, _, a = make_noisy(61, n=18, L=10, m=2, k=2)
     cfg = TwistConfig(M=2, r=5, iter_max=10)
-    u0, w0 = twist_default_inits(a, cfg, substream(61, 2))
+    u0, w0 = default_inits(a, cfg, substream(61, 2))
     u, w = twist_fit(a, cfg, u0, w0)
     assert u.shape == (18, 5)
     assert w.shape == (10, 2)
@@ -73,7 +85,7 @@ def test_twist_fit_shapes_and_orthonormality():
 def test_twist_fit_zero_sweeps_returns_regularized_inits():
     _, _, a = make_noisy(62, n=12, L=8, m=2, k=2)
     cfg = TwistConfig(M=2, r=4, iter_max=0)
-    u0, w0 = twist_default_inits(a, cfg, substream(62, 2))
+    u0, w0 = default_inits(a, cfg, substream(62, 2))
     u, w = twist_fit(a, cfg, u0, w0)
     d1 = 2.0 * np.linalg.norm(u0, axis=1).mean()
     d2 = 2.0 * np.linalg.norm(w0, axis=1).mean()
@@ -84,7 +96,7 @@ def test_twist_fit_zero_sweeps_returns_regularized_inits():
 def test_twist_fit_validates_shapes():
     _, _, a = make_noisy(63, n=10, L=6, m=2, k=2)
     cfg = TwistConfig(M=2, r=4, iter_max=2)
-    u0, w0 = twist_default_inits(a, cfg, substream(63, 2))
+    u0, w0 = default_inits(a, cfg, substream(63, 2))
     with pytest.raises(ValueError):
         twist_fit(a, cfg, u0[:5], w0)
     with pytest.raises(ValueError):
@@ -95,10 +107,7 @@ def test_twist_fit_validates_shapes():
 
 def test_twist_pipeline_noiseless_exact():
     inst, gt = make_truth(60, n=24, L=16, m=2, k=3, p_max=0.8, alpha=0.4)
-    cfg = TwistConfig(M=2, r=6, iter_max=30)
-    u0, w0 = twist_default_inits(gt.p_star, cfg, substream(60, 2))
-    _, w = twist_fit(gt.p_star, cfg, u0, w0)
-    res = twist_postprocess(gt.p_star, w, inst.K, substream(60, 3))
+    res = fit_twist(gt.p_star, inst.K, 6, 30, 60)
     report = score_result(inst, res)
     assert report.r_bl == 0.0
     assert report.r_wl == 0.0
@@ -106,11 +115,8 @@ def test_twist_pipeline_noiseless_exact():
 
 def test_twist_postprocess_deterministic():
     _, _, a = make_noisy(64, n=16, L=10, m=2, k=2)
-    cfg = TwistConfig(M=2, r=5, iter_max=5)
-    u0, w0 = twist_default_inits(a, cfg, substream(64, 2))
-    _, w = twist_fit(a, cfg, u0, w0)
-    one = twist_postprocess(a, w, (2, 2), substream(64, 3))
-    two = twist_postprocess(a, w, (2, 2), substream(64, 3))
+    one = fit_twist(a, (2, 2), 5, 5, 64)
+    two = fit_twist(a, (2, 2), 5, 5, 64)
     assert np.array_equal(one.layer_labels, two.layer_labels)
     for x, y in zip(one.node_labels, two.node_labels):
         assert np.array_equal(x, y)
