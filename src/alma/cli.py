@@ -93,7 +93,10 @@ def _add_fit(sub):
 
 
 def _parse_ranks(text: str, m: int) -> tuple:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise SystemExit(f"--communities needs integers, got {text!r}") from None
     if len(parts) == 1:
         parts = parts * m
     if len(parts) != m:

@@ -144,7 +144,10 @@ def read_edge_list(path, layers: int | None = None, nodes: int | None = None) ->
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'l i j', got {line!r}")
-            l, i, j = (int(p) for p in parts)
+            try:
+                l, i, j = (int(p) for p in parts)
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected integers 'l i j', got {line!r}") from None
             if min(l, i, j) < 0 or i == j:
                 raise ValueError(f"line {lineno}: bad edge ({l}, {i}, {j})")
             edges.append((l, i, j))

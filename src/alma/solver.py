@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
-from .linalg import polar_project, rank_project
-from .tensors import Tensor3, frobenius_norm, mode1_matricize, mode1_product, mode23_product
+from .linalg import polar_project, rank_project, warm_start
+from .tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,16 @@ class FactorPair:
 
 
 def objective(a: Tensor3, q: Tensor3, w: np.ndarray) -> float:
-    """Frobenius norm of A - Q x1 W^T."""
-    rebuilt = mode1_product(q, np.asarray(w, dtype=np.float64))
-    return frobenius_norm(a.array - rebuilt.array)
+    """Frobenius norm of A - Q x1 W^T, accumulated one layer at a time."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (a.dims[0], q.dims[0]):
+        raise ValueError(f"layer factor shape {w.shape} does not match (L, M)")
+    qmat = mode1_matricize(q)
+    sq = np.empty(len(w))
+    for l, row in enumerate(mode1_matricize(a)):
+        resid = row - w[l] @ qmat
+        sq[l] = resid @ resid
+    return float(np.sqrt(sq.sum()))
 
 
 def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:
@@ -71,11 +78,12 @@ def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:
     return w
 
 
-def q_update(a: Tensor3, w: np.ndarray, ranks) -> Tensor3:
+def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> Tensor3:
     """Optimal rank-constrained Q for fixed orthonormal W.
 
-    Slice m is the W(:, m)-weighted sum of adjacency slices, symmetrized and
-    truncated to its ``ranks[m]`` largest-magnitude eigencomponents.
+    Slice m is the W(:, m)-weighted sum of adjacency slices, truncated to its
+    ``ranks[m]`` largest-magnitude eigencomponents. ``start``, the previous
+    sweep's Q, only warm-starts the eigensolver; the result is the same.
     """
     L, n, n2 = a.dims
     if n != n2:
@@ -84,11 +92,14 @@ def q_update(a: Tensor3, w: np.ndarray, ranks) -> Tensor3:
     m = w.shape[1]
     if len(ranks) != m:
         raise ValueError(f"expected {m} ranks, got {len(ranks)}")
+    if start is not None and start.dims != (m, n, n):
+        raise ValueError(f"start dims {start.dims} do not match {(m, n, n)}")
     core = mode1_product(a, w.T)
     out = np.empty((m, n, n))
     for j in range(m):
-        sl = core.slice(j)
-        out[j] = rank_project((sl + sl.T) / 2.0, int(ranks[j]))
+        k = int(ranks[j])
+        v0 = None if start is None else warm_start(start.slice(j), k)
+        out[j] = rank_project(core.slice(j), k, start=v0)
     return Tensor3(out)
 
 
@@ -118,7 +129,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
     converged = False
     iters = 0
     for sweep in range(1, config.max_iter + 1):
-        q = q_update(a, w_prev, ranks)
+        q = q_update(a, w_prev, ranks, start=q_prev)
         if config.record_trace:
             trace.append(objective(a, q, w_prev))
         try:

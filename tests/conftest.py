@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+from alma import linalg
 from alma.model import MmlsbmInstance, assemble_ground_truth, planted_connectivity
 from alma.sampling import sample_adjacency, sample_instance, substream
 
@@ -40,3 +42,16 @@ def make_noisy(seed, **kw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The k of every Lanczos call rank_project makes while the test runs."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigsh", spy)
+    return calls

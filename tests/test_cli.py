@@ -125,6 +125,15 @@ def test_fit_rejects_wrong_rank_count(tmp_path, capsys):
         ])
 
 
+def test_fit_rejects_non_integer_rank(tmp_path, capsys):
+    generate_small(tmp_path, capsys)
+    with pytest.raises(SystemExit, match="--communities needs integers"):
+        main([
+            "fit", "--input", str(tmp_path / "adjacency.bin"),
+            "--groups", "2", "--communities", "2,x",
+        ])
+
+
 def test_scenario_emits_results(tmp_path, capsys):
     code, out = run_cli(
         ["scenario", "--scenario", "1", "--grid-points", "2",

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from alma import linalg
 from alma.errors import RankDeficientError
 from alma.linalg import (
+    LANCZOS_MIN_N,
     canonical_signs,
     polar_project,
     rank_project,
     svd_top_left,
     sym_eig_topk,
+    warm_start,
 )
+from conftest import make_noisy
 
 
 def random_symmetric(n, seed):
@@ -140,3 +145,69 @@ def test_svd_top_left_spans_dominant_subspace():
     u_ref = np.linalg.svd(x, full_matrices=False)[0][:, :2]
     # same subspace regardless of sign conventions
     assert np.linalg.norm(u @ u.T - u_ref @ u_ref.T) < 1e-9
+
+
+# The warm-started Lanczos path of rank_project runs only from LANCZOS_MIN_N
+# nodes up, above every other test's size.
+
+
+def sbm_aggregate(seed, layers):
+    _, _, a = make_noisy(seed, n=LANCZOS_MIN_N + 10, L=8, m=1, k=3, p_max=0.6, alpha=0.5)
+    return a.array[:layers].sum(axis=0)
+
+
+def rotated_spectrum(values, seed):
+    n = LANCZOS_MIN_N
+    lam = np.concatenate([values, np.linspace(-1.0, 1.0, n - len(values))])
+    u = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    return (u * lam) @ u.T, u, lam
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_warm_rank_project_matches_dense(k, eigsh_calls):
+    s = sbm_aggregate(60, 8)
+    start = warm_start(rank_project(sbm_aggregate(60, 6), k), k)
+    dense = rank_project(s, k)
+    warm = rank_project(s, k, start=start)
+    assert eigsh_calls == [k]
+    assert not np.array_equal(warm, dense)  # certified Lanczos pairs, not the fallback
+    assert np.linalg.norm(warm - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_warm_start_in_the_wrong_subspace_still_matches_dense(k, eigsh_calls):
+    # |lambda_k| / |lambda_k+1| = 1.001, and the start lies in the span of the
+    # eigenvectors ranked k+1..2k
+    top = 10.0 - np.arange(k, dtype=float)
+    s, u, lam = rotated_spectrum(np.concatenate([top, -top / 1.001]), 61)
+    wrong = (u[:, k:2 * k] * lam[k:2 * k]) @ u[:, k:2 * k].T
+    dense = rank_project(s, k)
+    warm = rank_project(s, k, start=warm_start(wrong, k))
+    assert eigsh_calls == [k]
+    assert np.linalg.norm(warm - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_magnitude_tie_at_rank_k_keeps_the_dense_tie_rule(eigsh_calls):
+    lam = np.concatenate([[9.0, 7.0, 5.0, -5.0], np.linspace(-1.0, 1.0, LANCZOS_MIN_N - 4)])
+    s = np.diag(lam)
+    out = rank_project(s, 3, start=warm_start(rank_project(s, 3), 3))
+    assert eigsh_calls == [3]
+    assert np.array_equal(out, rank_project(s, 3))
+    assert np.array_equal(np.diag(out)[:4], [9.0, 7.0, 0.0, -5.0])
+
+
+def test_lanczos_no_convergence_falls_back_to_dense(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(linalg, "eigsh", fail)
+    s = sbm_aggregate(62, 8)
+    start = warm_start(rank_project(s, 2), 2)
+    assert np.array_equal(rank_project(s, 2, start=start), rank_project(s, 2))
+
+
+def test_warm_start_only_above_the_crossover():
+    assert warm_start(np.eye(LANCZOS_MIN_N - 1), 1) is None
+    assert warm_start(np.eye(LANCZOS_MIN_N), LANCZOS_MIN_N // 2) is None
+    v0 = warm_start(np.eye(LANCZOS_MIN_N), 2)
+    assert v0.shape == (LANCZOS_MIN_N,)

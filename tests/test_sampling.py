@@ -116,6 +116,13 @@ def test_edge_list_rejects_bad_lines(tmp_path):
         read_edge_list(path, layers=1, nodes=1)
 
 
+def test_edge_list_names_the_line_of_a_bad_token(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_text("0 1 2\n0 1 x\n")
+    with pytest.raises(ValueError, match=r"^line 2: .*'0 1 x'"):
+        read_edge_list(path)
+
+
 def test_edge_list_rejects_non_binary(tmp_path):
     t = Tensor3(np.full((1, 3, 3), 0.5))
     with pytest.raises(ValueError):

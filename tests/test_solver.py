@@ -27,6 +27,17 @@ def test_objective_zero_on_exact_factorization():
     assert objective(mode1_product(q, w), q, w) <= 1e-12
 
 
+def test_objective_matches_the_full_tensor_residual():
+    # reference: the norm of the whole L x n x n residual, built at once
+    _, _, a = make_noisy(54, n=20, L=9, m=2, k=2)
+    w = np.linalg.qr(np.random.default_rng(54).normal(size=(9, 2)))[0]
+    q = q_update(a, w, (2, 2))
+    ref = np.linalg.norm(a.array - mode1_product(q, w).array)
+    assert abs(objective(a, q, w) - ref) <= 1e-12 * ref
+    with pytest.raises(ValueError):
+        objective(a, q, w[:, :1])
+
+
 def test_q_update_fixed_point_on_exact_rank_core():
     # full-diagonal group slices are exactly rank k, so the projection
     # reproduces them
@@ -151,3 +162,21 @@ def test_alma_fit_nonfinite_objective_raises():
     with pytest.raises(NonFiniteObjectiveError), \
             pytest.warns(RuntimeWarning, match="overflow"):
         alma_fit(a, (2, 2), w0, AlmaConfig(record_trace=True))
+
+
+def test_alma_fit_on_the_lanczos_path(eigsh_calls):
+    # n=300 is above LANCZOS_MIN_N, so every Q-step after the first is warm
+    _, _, a = make_noisy(52, n=300, L=8, m=2, k=2, p_max=0.5, alpha=0.5)
+    w0 = np.linalg.qr(np.random.default_rng(52).normal(size=(8, 2)))[0]
+    fit = alma_fit(a, (2, 2), w0, AlmaConfig(eps_stop=0.0, max_iter=8, record_trace=True))
+    assert eigsh_calls == [2] * (2 * 7)
+    trace = np.array(fit.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-9 * trace[:-1])
+    assert np.linalg.norm(fit.w.T @ fit.w - np.eye(2)) <= 1e-10
+
+
+def test_q_update_rejects_mismatched_start():
+    _, _, a = make_noisy(53, n=10, L=5, m=1, k=2)
+    w = np.full((5, 1), 1.0 / np.sqrt(5.0))
+    with pytest.raises(ValueError):
+        q_update(a, w, (2,), start=Tensor3(np.zeros((2, 10, 10))))
