@@ -143,17 +143,27 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_scenario(sub):
     p = sub.add_parser("scenario", help="run a stock simulation sweep")
     p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--config", help="JSON file with ScenarioConfig overrides")
-    p.add_argument("--replicates", type=int)
+    p.add_argument("--replicates", type=_count)
     p.add_argument("--seed", type=int)
     p.add_argument("--methods", help="comma list from: alma,twist")
     p.add_argument("--eps", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--grid-points", type=int, default=8)
+    p.add_argument("--max-iter", type=_count)
+    p.add_argument("--threads", type=_count)
+    p.add_argument("--grid-points", type=_count, default=8)
     p.add_argument("--p-max", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--n", type=int)

@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import cluster_factor_pair
 from .errors import EstimationError
 from .initialization import spectral_init
-from .linalg import sym_eig_topk
+from .linalg import pin_blas_threads, sym_eig_topk
 from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
@@ -247,7 +247,8 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     if cfg.threads == 1:
         chunks = [_run_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        # one BLAS thread per worker process, so the workers do not oversubscribe the cores
+        with ProcessPoolExecutor(max_workers=cfg.threads, initializer=pin_blas_threads) as pool:
             chunks = list(pool.map(_run_cell, tasks))
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.sweep_value, r.replicate, r.method))

@@ -11,10 +11,17 @@ then asks ARPACK's Lanczos for the top-k pairs and keeps them only after an
 exact certificate (two Cholesky factorizations) proves no other eigenvalue
 is as large in magnitude; otherwise, and below the crossover, it runs the
 full dense ``eigh``.
+
+:func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
+so concurrent callers can each run single-threaded BLAS instead of sharing
+one pool; it is None when numpy does not bundle an OpenBLAS that has it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import warnings
 from typing import NamedTuple
 
@@ -26,6 +33,37 @@ from .errors import RankDeficientError
 SYMMETRY_RTOL = 1e-8
 # Smallest n at which warm-started Lanczos plus its certificate beats eigh.
 LANCZOS_MIN_N = 250
+
+
+def _bind_openblas_threads_local():
+    # from OpenBLAS 0.3.27 on; numpy's wheels ship it as numpy.libs/libscipy_openblas*
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+_openblas_threads_local = _bind_openblas_threads_local()
+
+
+def _pin_blas_threads(count: int = 1) -> int:
+    """Run numpy's BLAS calls on ``count`` OpenBLAS threads; returns the previous count.
+
+    Despite the setter's name, the pthreads build of OpenBLAS that numpy's
+    wheels bundle changes the count for the whole process, not only for the
+    calling thread, so a caller puts back the count it found when done.
+    """
+    return _openblas_threads_local(count)
+
+
+# None when numpy's BLAS is not an OpenBLAS with the thread-count setter
+pin_blas_threads = _pin_blas_threads if _openblas_threads_local is not None else None
 
 
 class EigPairs(NamedTuple):
@@ -48,6 +86,9 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if np.array_equal(a, a.T):
+        # already exact; a C-contiguous result keeps gemv's summation order
+        return a.T if a.flags.f_contiguous else np.ascontiguousarray(a)
     norm = np.linalg.norm(a)
     if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * norm:
         raise ValueError("matrix is not symmetric to relative tolerance 1e-8")
@@ -113,9 +154,9 @@ def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray):
     order = np.argsort(-np.abs(w), kind="stable")
     w, v = w[order], v[:, order]
     t = abs(w[-1]) * (1.0 - 1e-9)
-    low = (v * w) @ v.T
     # tI - R, then tI + R = 2tI - (tI - R) in the same buffer
-    buf = low - a
+    buf = (v * w) @ v.T
+    buf -= a
     diag = buf.reshape(-1)[:: n + 1]
     diag += t
     try:
@@ -125,7 +166,8 @@ def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray):
         np.linalg.cholesky(buf)
     except np.linalg.LinAlgError:
         return None
-    return low
+    # rebuilt rather than held through both factorizations
+    return (v * w) @ v.T
 
 
 def rank_project(a: np.ndarray, k: int, start: np.ndarray | None = None) -> np.ndarray:
@@ -143,7 +185,7 @@ def rank_project(a: np.ndarray, k: int, start: np.ndarray | None = None) -> np.n
     if k >= n:
         if k > n:
             warnings.warn(f"rank {k} exceeds dimension {n}, clamping", RuntimeWarning)
-        return a
+        return a.copy()
     if start is not None and _lanczos_applies(n, k):
         low = _certified_topk(a, k, start)
         if low is not None:

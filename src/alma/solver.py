@@ -11,17 +11,27 @@ The sweep loop stops when consecutive layer factors differ by at most
 small-step stop the returned pair is the earlier member of the stop test
 (the iterate whose distance to a fixed point the step-size criterion
 certifies); on a budget stop it is the last pair, flagged unconverged.
+
+From ``POOL_MIN_N`` nodes up, a warm Q-step projects its group slices
+concurrently, one worker thread per slice up to the usable CPUs, each worker
+on one BLAS thread; the slices are independent, so the result is the one the
+serial loop gives.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
-from .linalg import polar_project, rank_project, warm_start
+from .linalg import _lanczos_applies, pin_blas_threads, polar_project, rank_project, warm_start
 from .tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
+
+# Smallest n at which a warm Q-step's thread pool beats its serial loop.
+POOL_MIN_N = 450
 
 
 @dataclass(frozen=True)
@@ -78,12 +88,31 @@ def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:
     return w
 
 
+def _usable_cpus() -> int:
+    # reached only where the pin exists, i.e. on Linux
+    return len(os.sched_getaffinity(0))
+
+
+def _warm_q_step_workers(n: int, ranks) -> int:
+    """Threads a warm-started Q-step projects its slices on; 1 is the serial loop.
+
+    Only slices on the Lanczos path take a warm start, and the workers need
+    the BLAS pin, so that each runs one BLAS thread.
+    """
+    if (pin_blas_threads is None or n < POOL_MIN_N
+            or not any(_lanczos_applies(n, k) for k in ranks)):
+        return 1
+    return min(len(ranks), _usable_cpus())
+
+
 def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> Tensor3:
     """Optimal rank-constrained Q for fixed orthonormal W.
 
     Slice m is the W(:, m)-weighted sum of adjacency slices, truncated to its
     ``ranks[m]`` largest-magnitude eigencomponents. ``start``, the previous
     sweep's Q, only warm-starts the eigensolver; the result is the same.
+    From ``POOL_MIN_N`` nodes up, warm-started slices are projected on a
+    thread pool when BLAS can be pinned (see :func:`alma.linalg.pin_blas_threads`).
     """
     L, n, n2 = a.dims
     if n != n2:
@@ -95,12 +124,28 @@ def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> 
     if start is not None and start.dims != (m, n, n):
         raise ValueError(f"start dims {start.dims} do not match {(m, n, n)}")
     core = mode1_product(a, w.T)
-    out = np.empty((m, n, n))
-    for j in range(m):
-        k = int(ranks[j])
-        v0 = None if start is None else warm_start(start.slice(j), k)
-        out[j] = rank_project(core.slice(j), k, start=v0)
-    return Tensor3(out)
+    ks = [int(k) for k in ranks]
+    starts = [None if start is None else warm_start(start.slice(j), ks[j]) for j in range(m)]
+    # Tensor3's store layout: slice j is held transposed
+    store = np.empty((m, n, n))
+
+    def project(j):
+        store[j] = rank_project(core.slice(j), ks[j], start=starts[j]).T
+
+    workers = 1 if start is None else _warm_q_step_workers(n, ks)
+    if workers < 2:
+        for j in range(m):
+            project(j)
+    else:
+        # numpy's OpenBLAS applies the pin to the whole process, so the
+        # caller's count is restored once the workers are done
+        caller_threads = pin_blas_threads()
+        try:
+            with ThreadPoolExecutor(workers, initializer=pin_blas_threads) as pool:
+                list(pool.map(project, range(m)))
+        finally:
+            pin_blas_threads(caller_threads)
+    return Tensor3._wrap(store)
 
 
 def w_update(a: Tensor3, q: Tensor3, rank_tol: float = 1e-10) -> np.ndarray:
@@ -128,26 +173,38 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
     w = w_prev
     converged = False
     iters = 0
-    for sweep in range(1, config.max_iter + 1):
-        q = q_update(a, w_prev, ranks, start=q_prev)
-        if config.record_trace:
-            trace.append(objective(a, q, w_prev))
-        try:
-            w = w_update(a, q, rank_tol=config.rank_tol)
-        except RankDeficientError as exc:
-            raise DegenerateIterateError(sweep, exc) from exc
-        if config.record_trace:
-            trace.append(objective(a, q, w))
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mode1_matricize(q)))):
-            raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
-        if trace and not np.isfinite(trace[-1]):
-            raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
-        iters = sweep
-        if float(np.linalg.norm(w - w_prev)) <= config.eps_stop:
-            converged = True
-            if sweep > 1:
-                q, w = q_prev, w_prev
-            break
-        q_prev, w_prev = q, w
+    # From sweep 2 on the Q-step projects on single-BLAS-thread workers, and
+    # the rest of each sweep stays on one BLAS thread too: numpy's OpenBLAS
+    # pin is process-wide, and a W-step run on its thread pool leaves the
+    # pool's helper thread spinning against the workers of the next Q-step.
+    pin_warm_sweeps = _warm_q_step_workers(n, ranks) > 1
+    caller_threads = None
+    try:
+        for sweep in range(1, config.max_iter + 1):
+            if sweep == 2 and pin_warm_sweeps:
+                caller_threads = pin_blas_threads()
+            q = q_update(a, w_prev, ranks, start=q_prev)
+            if config.record_trace:
+                trace.append(objective(a, q, w_prev))
+            try:
+                w = w_update(a, q, rank_tol=config.rank_tol)
+            except RankDeficientError as exc:
+                raise DegenerateIterateError(sweep, exc) from exc
+            if config.record_trace:
+                trace.append(objective(a, q, w))
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mode1_matricize(q)))):
+                raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
+            if trace and not np.isfinite(trace[-1]):
+                raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
+            iters = sweep
+            if float(np.linalg.norm(w - w_prev)) <= config.eps_stop:
+                converged = True
+                if sweep > 1:
+                    q, w = q_prev, w_prev
+                break
+            q_prev, w_prev = q, w
+    finally:
+        if caller_threads is not None:
+            pin_blas_threads(caller_threads)
 
     return FactorPair(w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged)

@@ -173,6 +173,14 @@ def test_scenario_rejects_unknown_config_key(tmp_path, capsys):
         main(["scenario", "--scenario", "1", "--config", str(cfg_path)])
 
 
+@pytest.mark.parametrize("flag", ["--threads", "--replicates", "--grid-points", "--max-iter"])
+def test_scenario_rejects_a_count_below_one(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit):
+        main(["scenario", "--scenario", "3", flag, "0", "--out", str(tmp_path / "res")])
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_elbow_prints_and_writes(tmp_path, capsys):
     generate_small(tmp_path, capsys)
     code, out = run_cli(

@@ -6,6 +6,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from alma import linalg
 from alma.errors import RankDeficientError
+from alma.tensors import mode1_product
 from alma.linalg import (
     LANCZOS_MIN_N,
     canonical_signs,
@@ -69,6 +70,20 @@ def test_rank_project_full_rank_is_identity_map():
     with pytest.warns(RuntimeWarning):
         out = rank_project(a, 9)
     assert np.allclose(out, a, atol=1e-12)
+
+
+def test_full_rank_projection_never_returns_the_input_buffer():
+    a = random_symmetric(4, 8)
+    for x in (a, np.asfortranarray(a)):
+        out = rank_project(x, 4)
+        assert np.array_equal(out, a)
+        assert not np.shares_memory(out, x)
+
+
+def test_nearly_symmetric_input_is_symmetrised():
+    a = random_symmetric(4, 9)
+    a[0, 1] += 1e-12
+    assert np.array_equal(rank_project(a, 4), (a + a.T) / 2.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,6 +187,20 @@ def test_warm_rank_project_matches_dense(k, eigsh_calls):
     assert eigsh_calls == [k]
     assert not np.array_equal(warm, dense)  # certified Lanczos pairs, not the fallback
     assert np.linalg.norm(warm - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_column_major_slice_projects_to_the_same_bits(eigsh_calls):
+    # the Q-step passes column-major views of W-weighted slice sums, as
+    # Tensor3 stores them; gemv must see them in row-major order
+    _, _, a = make_noisy(63, n=LANCZOS_MIN_N + 10, L=8, m=1, k=3, p_max=0.6, alpha=0.5)
+    w = np.linalg.qr(np.random.default_rng(63).normal(size=(8, 2)))[0]
+    core = mode1_product(a, w.T)
+    s = core.slice(0)
+    assert s.flags.f_contiguous and not s.flags.c_contiguous
+    start = warm_start(rank_project(np.ascontiguousarray(core.slice(1)), 3), 3)
+    warm = rank_project(np.ascontiguousarray(s), 3, start=start)
+    assert np.array_equal(rank_project(s, 3, start=start), warm)
+    assert eigsh_calls == [3, 3]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
