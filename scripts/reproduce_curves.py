@@ -12,16 +12,17 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from alma.cli import positive_int
 from alma.harness import emit_results, run_scenario, scenario_config
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenarios", default="1,2,3,4", help="comma list from 1-4")
-    ap.add_argument("--grid-points", type=int, default=4)
-    ap.add_argument("--replicates", type=int, default=5)
+    ap.add_argument("--grid-points", type=positive_int, default=4)
+    ap.add_argument("--replicates", type=positive_int, default=5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=max(os.cpu_count() - 1, 1))
+    ap.add_argument("--threads", type=positive_int, default=max(os.cpu_count() - 1, 1))
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 

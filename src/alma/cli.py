@@ -39,6 +39,28 @@ from .solver import objective
 from .tensors import read_tensor, write_tensor
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse type for a tolerance: a float >= 0 (0 switches a stop test off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs a number, got {text!r}") from None
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="sample an instance and adjacency tensor")
     p.add_argument("--n", type=int, default=100, help="nodes per layer")
@@ -79,15 +101,17 @@ def _add_fit(sub):
     p.add_argument("--edge-list", help="text edge-list file (l i j per line)")
     p.add_argument("--layers", type=int, help="layer count for edge-list input")
     p.add_argument("--nodes", type=int, help="node count for edge-list input")
-    p.add_argument("--groups", type=int, required=True)
+    p.add_argument("--groups", type=positive_int, required=True)
     p.add_argument("--communities", required=True,
                    help="one count, or comma list per group")
     p.add_argument("--method", choices=("alma", "twist"), default="alma")
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--twist-r", type=int, default=7)
-    p.add_argument("--twist-iters", type=int, default=50)
+    p.add_argument("--eps", type=nonnegative_float, default=1e-4,
+                   help="step tolerance; also turns on the objective stop test, 0 runs "
+                        "the full --max-iter budget")
+    p.add_argument("--max-iter", type=positive_int, default=100)
+    p.add_argument("--restarts", type=positive_int, default=20)
+    p.add_argument("--twist-r", type=positive_int, default=7)
+    p.add_argument("--twist-iters", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write fit.json here instead of stdout")
 
@@ -101,6 +125,8 @@ def _parse_ranks(text: str, m: int) -> tuple:
         parts = parts * m
     if len(parts) != m:
         raise SystemExit(f"--communities needs 1 or {m} values, got {len(parts)}")
+    if min(parts) < 1:
+        raise SystemExit(f"--communities must be >= 1, got {text!r}")
     return tuple(parts)
 
 
@@ -122,15 +148,18 @@ def _cmd_fit(args) -> int:
         eps_stop=args.eps, max_iter=args.max_iter, restarts=args.restarts,
         twist_r=args.twist_r, twist_iter_max=args.twist_iters,
     )
-    info = {"iters": iters, "converged": converged}
-    if fit is not None:
-        info["objective"] = objective(a, fit.q, fit.w)
     payload = {
         "method": args.method,
         "layer_labels": res.layer_labels.tolist(),
         "node_labels": [g.tolist() for g in res.node_labels],
-        **info,
+        "iters": iters,
+        "converged": converged,
     }
+    if fit is None:
+        payload["stop_reason"] = "budget"  # twist has no stop test
+    else:
+        payload.update(objective=objective(a, fit.q, fit.w), stop_reason=fit.stop_reason,
+                       final_step=fit.final_step)
     text = json.dumps(payload, indent=1)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -143,33 +172,59 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _add_scenario(sub):
     p = sub.add_parser("scenario", help="run a stock simulation sweep")
     p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--config", help="JSON file with ScenarioConfig overrides")
-    p.add_argument("--replicates", type=_count)
+    p.add_argument("--replicates", type=positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--methods", help="comma list from: alma,twist")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--max-iter", type=_count)
-    p.add_argument("--threads", type=_count)
-    p.add_argument("--grid-points", type=_count, default=8)
+    p.add_argument("--eps", type=nonnegative_float)
+    p.add_argument("--max-iter", type=positive_int)
+    p.add_argument("--threads", type=positive_int)
+    p.add_argument("--grid-points", type=positive_int, default=8)
     p.add_argument("--p-max", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--out", default="results")
     p.add_argument("--emit", default="csv", help="comma list from: csv,svg")
+
+
+# the config file's count and tolerance fields, checked as their flags are
+_CONFIG_TYPES = {
+    "replicates": positive_int,
+    "threads": positive_int,
+    "max_iter": positive_int,
+    "kmeans_restarts": positive_int,
+    "twist_r": positive_int,
+    "twist_iter_max": positive_int,
+    "eps_stop": nonnegative_float,
+}
+
+
+def _load_config(path) -> dict:
+    """ScenarioConfig overrides from a JSON file, with every field name and count checked."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    bad = set(raw) - set(ScenarioConfig.__dataclass_fields__)
+    if bad:
+        raise SystemExit(f"unknown config fields: {sorted(bad)}")
+    raw.pop("scenario", None)
+    for key, parse in _CONFIG_TYPES.items():
+        if key in raw:
+            value = raw[key]
+            try:
+                # int() would take a JSON true or "3"; neither is a count
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise argparse.ArgumentTypeError(f"needs a number, got {value!r}")
+                raw[key] = parse(repr(value))
+            except argparse.ArgumentTypeError as exc:
+                raise SystemExit(f"config field {key}: {exc}") from None
+    for key in ("grid", "methods"):
+        if key in raw:
+            raw[key] = tuple(raw[key])
+    return raw
 
 
 _FLAG_TO_FIELD = {
@@ -186,19 +241,7 @@ _FLAG_TO_FIELD = {
 
 
 def _cmd_scenario(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        valid = set(ScenarioConfig.__dataclass_fields__)
-        bad = set(raw) - valid
-        if bad:
-            raise SystemExit(f"unknown config fields: {sorted(bad)}")
-        raw.pop("scenario", None)
-        for key in ("grid", "methods"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        overrides.update(raw)
+    overrides = _load_config(args.config) if args.config else {}
     for flag, fieldname in _FLAG_TO_FIELD.items():
         value = getattr(args, flag)
         if value is not None:
@@ -220,11 +263,11 @@ def _add_elbow(sub):
     p.add_argument("--edge-list", help="text edge-list file")
     p.add_argument("--layers", type=int)
     p.add_argument("--nodes", type=int)
-    p.add_argument("--m-min", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=6)
-    p.add_argument("--communities", type=int, required=True)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--m-min", type=positive_int, default=1)
+    p.add_argument("--m-max", type=positive_int, default=6)
+    p.add_argument("--communities", type=positive_int, required=True)
+    p.add_argument("--eps", type=nonnegative_float, default=1e-4)
+    p.add_argument("--max-iter", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write elbow.csv here")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import cluster_factor_pair
-from .errors import EstimationError
+from .errors import DegenerateIterateError, EstimationError
 from .initialization import spectral_init
 from .linalg import pin_blas_threads, sym_eig_topk
 from .metrics import score_result
@@ -123,6 +123,8 @@ class RunRecord:
     converged: bool
     seconds: float
     seed: int
+    # "converged", "budget", "degenerate", or the class of the error that ended the fit
+    stop_reason: str
 
     @property
     def failed(self) -> bool:
@@ -158,7 +160,8 @@ def fit_method(
     sum). Labels come from :func:`cluster_factor_pair` on stream
     ``substream(*seed_path, 3)`` for alma and ``substream(*seed_path, 4)`` for
     twist. Returns ``(result, iters, converged, fit)``, where ``fit`` is the
-    alma :class:`FactorPair` and None for twist.
+    alma :class:`FactorPair` and None for twist. Twist has no stop test and
+    always runs ``twist_iter_max`` sweeps, so its stop reason is ``"budget"``.
     """
     if method == "alma":
         fit = alma_fit(a, ranks, w_init, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
@@ -201,16 +204,19 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
         iters = 0
         converged = False
         try:
-            res, iters, converged, _ = fit_method(
+            res, iters, converged, fit = fit_method(
                 a, method, ranks, w1, (cfg.master_seed, *path),
                 eps_stop=cfg.eps_stop, max_iter=cfg.max_iter,
                 restarts=cfg.kmeans_restarts,
                 twist_r=cfg.twist_r, twist_iter_max=cfg.twist_iter_max,
             )
+            stop_reason = "budget" if fit is None else fit.stop_reason
             score = score_result(inst, res)
             r_bl, r_wl = score.r_bl, score.r_wl
-        except EstimationError:
+        except EstimationError as exc:
             converged = False
+            stop_reason = ("degenerate" if isinstance(exc, DegenerateIterateError)
+                           else type(exc).__name__)
         records.append(
             RunRecord(
                 scenario=cfg.scenario,
@@ -224,6 +230,7 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
                 converged=converged,
                 seconds=time.perf_counter() - t0,
                 seed=seed_id,
+                stop_reason=stop_reason,
             )
         )
     return records
@@ -312,7 +319,7 @@ def elbow_scan(
 
 CSV_COLUMNS = (
     "scenario", "sweep_param", "sweep_value", "replicate", "method",
-    "R_BL", "R_WL", "iters", "converged", "seconds", "seed",
+    "R_BL", "R_WL", "iters", "converged", "seconds", "seed", "stop_reason",
 )
 
 
@@ -332,7 +339,7 @@ def write_runs_csv(records, path) -> None:
             writer.writerow([
                 r.scenario, r.sweep_param, _fmt(r.sweep_value), r.replicate, r.method,
                 _fmt(r.r_bl), _fmt(r.r_wl), r.iters, _fmt(r.converged),
-                _fmt(r.seconds), r.seed,
+                _fmt(r.seconds), r.seed, r.stop_reason,
             ])
 
 

@@ -6,11 +6,23 @@ closest symmetric low-rank matrix); with Q fixed, the optimal orthonormal W
 is the polar factor of the slice correlations. The objective therefore never
 increases within a sweep, up to float rounding.
 
-The sweep loop stops when consecutive layer factors differ by at most
-``eps_stop`` in Frobenius norm, or when the sweep budget runs out. On the
-small-step stop the returned pair is the earlier member of the stop test
-(the iterate whose distance to a fixed point the step-size criterion
-certifies); on a budget stop it is the last pair, flagged unconverged.
+The sweep loop has two stop tests, both switched off by ``eps_stop = 0``:
+
+* the step rule: consecutive layer factors differ by at most ``eps_stop`` in
+  Frobenius norm. The returned pair is then the earlier member of the stop
+  test (the iterate whose distance to a fixed point the step-size criterion
+  certifies).
+* the objective rule: from sweep 2 on, the objective after the W-step fell by
+  no more than ``OBJECTIVE_RTOL`` of its previous value. W can drift at a
+  steady speed along a direction where the objective is nearly flat, so the
+  step rule alone seldom fires on noisy data. The returned pair is the
+  current one, which has the lowest objective.
+
+Either stop flags the fit converged; when the sweep budget runs out first,
+the last pair comes back flagged unconverged. The objective the rule reads
+costs no pass over the tensor: with W orthonormal,
+||A - Q x1 W||^2 = ||A||^2 - 2 <W, G> + ||Q||^2, where G is the W-step's own
+slice correlation matrix and ||A||^2 is taken once per fit.
 
 From ``POOL_MIN_N`` nodes up, a warm Q-step projects its group slices
 concurrently, one worker thread per slice up to the usable CPUs, each worker
@@ -32,10 +44,25 @@ from .tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
 
 # Smallest n at which a warm Q-step's thread pool beats its serial loop.
 POOL_MIN_N = 450
+# Largest relative fall of the objective in one sweep that ends a fit. At
+# 1e-5 scenario-1 fits stop at sweeps 3-32 and lose accuracy; at 1e-7 about
+# half of them still run the 100-sweep budget.
+OBJECTIVE_RTOL = 1e-6
+# Below this fraction of ||A||^2 the expanded square loses too many digits to
+# cancellation, and the objective is taken from the residual itself.
+_CANCELLATION_FRAC = 1e-6
 
 
 @dataclass(frozen=True)
 class AlmaConfig:
+    """Sweep settings of :func:`alma_fit`.
+
+    ``eps_stop`` is the step rule's tolerance on ||W_t - W_{t-1}||_F; any
+    positive value also turns on the objective rule (see the module
+    docstring), and 0 runs the full ``max_iter`` budget with neither test.
+    ``record_trace`` keeps the objective after every half-step.
+    """
+
     eps_stop: float = 1e-4
     max_iter: int = 100
     rank_tol: float = 1e-10
@@ -63,6 +90,10 @@ class FactorPair:
     objective_trace: list = field(default_factory=list)
     iters_used: int = 0
     converged: bool = False
+    # "converged" (either stop test fired) or "budget"
+    stop_reason: str = "budget"
+    # ||W_t - W_{t-1}||_F of the last sweep run
+    final_step: float = float("nan")
 
 
 def objective(a: Tensor3, q: Tensor3, w: np.ndarray) -> float:
@@ -76,6 +107,21 @@ def objective(a: Tensor3, q: Tensor3, w: np.ndarray) -> float:
         resid = row - w[l] @ qmat
         sq[l] = resid @ resid
     return float(np.sqrt(sq.sum()))
+
+
+def _objective_after_w_step(a: Tensor3, a_sq: float, q: Tensor3, w: np.ndarray,
+                            g: np.ndarray) -> float:
+    """:func:`objective` from ``a_sq`` = ||A||^2 and the W-step's G = mode23_product(a, q).
+
+    ``w`` has orthonormal columns, so ||Q x1 W||^2 = ||Q||^2 and no pass over
+    A is needed, unless the objective is so small next to ||A|| that the
+    expansion cancels.
+    """
+    qmat = mode1_matricize(q).reshape(-1)
+    f_sq = a_sq - 2.0 * float(np.vdot(w, g)) + float(qmat @ qmat)
+    if f_sq < _CANCELLATION_FRAC * a_sq:
+        return objective(a, q, w)
+    return float(np.sqrt(f_sq))
 
 
 def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:
@@ -173,6 +219,13 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
     w = w_prev
     converged = False
     iters = 0
+    step = float("nan")
+    # the objective rule, like the step rule, is off at eps_stop = 0
+    a_sq = None
+    if config.eps_stop > 0.0:
+        amat = mode1_matricize(a).reshape(-1)
+        a_sq = float(amat @ amat)
+    f_prev = None
     # From sweep 2 on the Q-step projects on single-BLAS-thread workers, and
     # the rest of each sweep stays on one BLAS thread too: numpy's OpenBLAS
     # pin is process-wide, and a W-step run on its thread pool leaves the
@@ -186,8 +239,10 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
             q = q_update(a, w_prev, ranks, start=q_prev)
             if config.record_trace:
                 trace.append(objective(a, q, w_prev))
+            # the W-step, with G kept for the objective rule
+            g = mode23_product(a, q)
             try:
-                w = w_update(a, q, rank_tol=config.rank_tol)
+                w = polar_project(g, rank_tol=config.rank_tol)
             except RankDeficientError as exc:
                 raise DegenerateIterateError(sweep, exc) from exc
             if config.record_trace:
@@ -197,14 +252,26 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
             if trace and not np.isfinite(trace[-1]):
                 raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
             iters = sweep
-            if float(np.linalg.norm(w - w_prev)) <= config.eps_stop:
+            step = float(np.linalg.norm(w - w_prev))
+            if step <= config.eps_stop:
                 converged = True
                 if sweep > 1:
                     q, w = q_prev, w_prev
                 break
+            if a_sq is not None:
+                f = _objective_after_w_step(a, a_sq, q, w, g)
+                if not np.isfinite(f):
+                    raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
+                if f_prev is not None and f_prev - f <= OBJECTIVE_RTOL * f_prev:
+                    converged = True
+                    break
+                f_prev = f
             q_prev, w_prev = q, w
     finally:
         if caller_threads is not None:
             pin_blas_threads(caller_threads)
 
-    return FactorPair(w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged)
+    return FactorPair(
+        w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged,
+        stop_reason="converged" if converged else "budget", final_step=step,
+    )

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +55,10 @@ def test_fit_alma_stdout(tmp_path, capsys):
     assert all(len(g) == 14 for g in payload["node_labels"])
     assert isinstance(payload["converged"], bool)
     assert payload["objective"] > 0.0
+    assert payload["stop_reason"] == ("converged" if payload["converged"] else "budget")
+    assert payload["final_step"] > 0.0
+    # the new keys follow the ones fit.json had before them
+    assert list(payload)[-3:] == ["objective", "stop_reason", "final_step"]
 
 
 def test_fit_twist_to_file(tmp_path, capsys):
@@ -69,6 +74,8 @@ def test_fit_twist_to_file(tmp_path, capsys):
     payload = json.loads((tmp_path / "fitted" / "fit.json").read_text())
     assert payload["method"] == "twist"
     assert payload["iters"] == 5
+    assert payload["stop_reason"] == "budget"
+    assert "final_step" not in payload
 
 
 def test_fit_from_edge_list(tmp_path, capsys):
@@ -178,6 +185,67 @@ def test_scenario_rejects_a_count_below_one(tmp_path, capsys, flag):
     with pytest.raises(SystemExit):
         main(["scenario", "--scenario", "3", flag, "0", "--out", str(tmp_path / "res")])
     assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iter", "0", "must be >= 1, got 0"),
+    ("--eps", "-1", "must be >= 0, got -1"),
+    ("--groups", "0", "must be >= 1, got 0"),
+    ("--restarts", "0", "must be >= 1, got 0"),
+])
+def test_fit_rejects_a_bad_count_at_parse_time(tmp_path, capsys, flag, value, message):
+    generate_small(tmp_path, capsys)
+    argv = ["fit", "--input", str(tmp_path / "adjacency.bin"),
+            "--groups", "2", "--communities", "2", flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_fit_rejects_a_zero_community_count(tmp_path, capsys):
+    generate_small(tmp_path, capsys)
+    with pytest.raises(SystemExit, match="--communities must be >= 1"):
+        main(["fit", "--input", str(tmp_path / "adjacency.bin"),
+              "--groups", "2", "--communities", "2,0"])
+
+
+def test_elbow_rejects_a_zero_sweep_budget(tmp_path, capsys):
+    generate_small(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["elbow", "--input", str(tmp_path / "adjacency.bin"),
+              "--communities", "2", "--max-iter", "0"])
+    assert exit_info.value.code == 2
+    assert "argument --max-iter: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"threads": 0}, "config field threads: must be >= 1, got 0"),
+    ({"max_iter": 0}, "config field max_iter: must be >= 1, got 0"),
+    ({"replicates": 2.5}, "config field replicates: needs an integer, got '2.5'"),
+    ({"kmeans_restarts": True}, "config field kmeans_restarts: needs a number, got True"),
+    ({"eps_stop": -0.5}, "config field eps_stop: must be >= 0, got -0.5"),
+])
+def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, fields, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fields))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scenario", "--scenario", "3", "--config", str(cfg_path),
+              "--out", str(tmp_path / "res")])
+    assert str(exit_info.value) == message
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--grid-points", "--replicates"])
+def test_reproduce_curves_rejects_a_count_below_one(tmp_path, flag):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_curves.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), flag, "0", "--out", str(tmp_path / "res")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}: must be >= 1, got 0" in proc.stderr
     assert not (tmp_path / "res").exists()
 
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from alma.errors import EstimationError
+from alma.errors import DegenerateIterateError, EmptyClusterError, EstimationError
 from alma.harness import (
     CSV_COLUMNS,
     RunRecord,
@@ -106,7 +106,7 @@ def _rec(value, method, bl, wl, rep=0):
     return RunRecord(
         scenario=1, sweep_param="p_max", sweep_value=value, replicate=rep,
         method=method, r_bl=bl, r_wl=wl, iters=3, converged=True,
-        seconds=0.1, seed=7,
+        seconds=0.1, seed=7, stop_reason="converged",
     )
 
 
@@ -140,6 +140,8 @@ def test_runs_csv_format(tmp_path):
     assert cells[5] == "0.125"
     assert cells[6] == "nan"
     assert cells[8] == "true"
+    assert CSV_COLUMNS[-2:] == ("seed", "stop_reason")  # appended after seed
+    assert cells[10:] == ["7", "converged"]
 
 
 def test_emit_results_csv_and_svg(tmp_path):
@@ -216,10 +218,26 @@ def test_run_scenario_aborts_when_most_runs_fail(monkeypatch):
                 scenario=cfg_.scenario, sweep_param=cfg_.sweep_param,
                 sweep_value=float(cfg_.grid[gi]), replicate=rep, method="alma",
                 r_bl=float("nan"), r_wl=float("nan"), iters=0, converged=False,
-                seconds=0.0, seed=0,
+                seconds=0.0, seed=0, stop_reason="degenerate",
             )
         ]
 
     monkeypatch.setattr(hz, "run_single", all_failures)
     with pytest.raises(EstimationError):
         hz.run_scenario(cfg)
+
+
+def test_rows_say_why_each_fit_stopped(monkeypatch):
+    import alma.harness as hz
+
+    recs = run_scenario(tiny_cfg(max_iter=2))
+    reasons = {(r.method, r.stop_reason) for r in recs}
+    assert reasons == {("alma", "budget"), ("twist", "budget")}
+    for exc, reason in ((DegenerateIterateError(3), "degenerate"),
+                        (EmptyClusterError("no layer in group 1"), "EmptyClusterError")):
+        def failing_fit(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(hz, "fit_method", failing_fit)
+        rec = hz.run_single(tiny_cfg(methods=("alma",)), 0, 0)[0]
+        assert (rec.failed, rec.converged, rec.stop_reason) == (True, False, reason)

@@ -6,11 +6,13 @@ import pytest
 
 from alma import solver
 from alma.errors import DegenerateIterateError, NonFiniteObjectiveError
-from alma.linalg import rank_project, sym_eig_topk, warm_start
+from alma.initialization import spectral_init
+from alma.linalg import polar_project, rank_project, sym_eig_topk, warm_start
 from alma.metrics import score_result
 from alma.clustering import cluster_factor_pair
 from alma.sampling import substream
 from alma.solver import (
+    OBJECTIVE_RTOL,
     POOL_MIN_N,
     AlmaConfig,
     FactorPair,
@@ -19,7 +21,7 @@ from alma.solver import (
     q_update,
     w_update,
 )
-from alma.tensors import Tensor3, mode1_product
+from alma.tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
 from conftest import make_noisy, make_truth
 
 
@@ -121,12 +123,15 @@ def test_alma_fit_trace_and_metadata():
     assert fit.iters_used == 1
     assert len(fit.objective_trace) == 2  # one sweep records both half-steps
     assert not fit.converged
+    assert fit.stop_reason == "budget"
+    assert fit.final_step == np.linalg.norm(fit.w - w0)
     long = alma_fit(
         a, (2, 2), w0, AlmaConfig(max_iter=50, eps_stop=1e-2, record_trace=True)
     )
     trace = np.array(long.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9 * trace[0])
     assert long.converged
+    assert long.stop_reason == "converged"
     assert len(trace) == 2 * long.iters_used
 
 
@@ -174,6 +179,10 @@ def test_alma_fit_nonfinite_objective_raises():
     with pytest.raises(NonFiniteObjectiveError), \
             pytest.warns(RuntimeWarning, match="overflow"):
         alma_fit(a, (2, 2), w0, AlmaConfig(record_trace=True))
+    # without a trace, the objective stop rule meets the same overflow
+    with pytest.raises(NonFiniteObjectiveError), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        alma_fit(a, (2, 2), w0)
 
 
 def test_alma_fit_on_the_lanczos_path(eigsh_calls):
@@ -341,3 +350,75 @@ def test_alma_fit_pins_warm_sweeps_and_restores_the_count(blas_pins):
     # pinned once before sweep 2, each of the two warm Q-steps pins and
     # restores, and the fit restores the count it found
     assert [count for count, _ in on_main] == [1, 1, 1, 1, 1, on_main[0][1]]
+
+
+# The objective stop rule.
+
+
+def scenario_one_fit_inputs(seed=61):
+    """A noisy stock-scenario-1 draw at p_max 0.6 and its spectral start."""
+    _, _, a = make_noisy(seed, n=100, L=40, m=3, k=3, p_max=0.6, alpha=0.9)
+    return a, spectral_init(a, 3, substream(seed, 2))
+
+
+def test_fit_stops_once_the_objective_stops_falling():
+    a, w1 = scenario_one_fit_inputs()
+    fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(record_trace=True))
+    assert fit.iters_used < 100
+    assert fit.converged and fit.stop_reason == "converged"
+    assert fit.final_step > 1e-4  # the step rule did not fire
+    after_w = np.array(fit.objective_trace[1::2])
+    fall = (after_w[:-1] - after_w[1:]) / after_w[:-1]
+    assert fall[-1] <= OBJECTIVE_RTOL
+    assert np.all(fall[:-1] > OBJECTIVE_RTOL)
+    # the pair returned is the stop sweep's own, not the one before it
+    assert objective(a, fit.q, fit.w) == fit.objective_trace[-1]
+
+
+def test_zero_tolerance_runs_the_budget_and_never_takes_the_objective(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(solver, "objective", spy("objective", objective))
+    monkeypatch.setattr(solver, "_objective_after_w_step",
+                        spy("after_w_step", solver._objective_after_w_step))
+    a, w1 = scenario_one_fit_inputs()
+    fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(eps_stop=0.0, max_iter=30))
+    assert (fit.iters_used, fit.converged, fit.stop_reason) == (30, False, "budget")
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [100, POOL_MIN_N])
+def test_objective_from_the_w_step_matches_the_residual(monkeypatch, n):
+    # no fallback to the residual, so the expansion itself is checked
+    monkeypatch.setattr(solver, "_CANCELLATION_FRAC", 0.0)
+    _, _, a = make_noisy(62, n=n, L=8, m=2, k=2, p_max=0.5, alpha=0.5)
+    w = np.linalg.qr(np.random.default_rng(62).normal(size=(8, 2)))[0]
+    amat = mode1_matricize(a).reshape(-1)
+    a_sq = float(amat @ amat)
+    q = None
+    for _ in range(3):
+        q = q_update(a, w, (2, 2), start=q)
+        g = mode23_product(a, q)
+        w = polar_project(g)
+        ref = objective(a, q, w)
+        assert abs(solver._objective_after_w_step(a, a_sq, q, w, g) - ref) <= 1e-12 * ref
+
+
+def test_objective_near_zero_is_taken_from_the_residual():
+    # an exactly low-rank tensor at its own factors: the expansion would
+    # cancel down to rounding noise
+    inst, gt = make_truth(63, n=24, L=12, m=2, k=2, p_max=0.8, alpha=0.4)
+    a = mode1_product(gt.q_star_full, gt.w_star)
+    q = q_update(a, gt.w_star, inst.K)
+    g = mode23_product(a, q)
+    w = polar_project(g)
+    amat = mode1_matricize(a).reshape(-1)
+    got = solver._objective_after_w_step(a, float(amat @ amat), q, w, g)
+    assert got == objective(a, q, w)
+    assert got <= 1e-10 * np.linalg.norm(amat)
