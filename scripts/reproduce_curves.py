@@ -16,9 +16,26 @@ from alma.cli import positive_int
 from alma.harness import emit_results, run_scenario, scenario_config
 
 
+def scenario_list(text: str) -> list:
+    """argparse type for --scenarios: a comma list of stock scenario numbers."""
+    out = []
+    for part in text.split(","):
+        try:
+            value = int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"needs integers, got {part!r}") from None
+        try:
+            scenario_config(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        out.append(value)
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--scenarios", default="1,2,3,4", help="comma list from 1-4")
+    ap.add_argument("--scenarios", type=scenario_list, default="1,2,3,4",
+                    help="comma list from 1-4")
     ap.add_argument("--grid-points", type=positive_int, default=4)
     ap.add_argument("--replicates", type=positive_int, default=5)
     ap.add_argument("--seed", type=int, default=0)
@@ -26,7 +43,7 @@ def main() -> int:
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 
-    for s in (int(x) for x in args.scenarios.split(",")):
+    for s in args.scenarios:
         cfg = scenario_config(
             s,
             grid_points=args.grid_points,

@@ -63,10 +63,10 @@ def nonnegative_float(text: str) -> float:
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="sample an instance and adjacency tensor")
-    p.add_argument("--n", type=int, default=100, help="nodes per layer")
-    p.add_argument("--layers", type=int, default=40, help="number of layers")
-    p.add_argument("--groups", type=int, default=3, help="number of layer groups")
-    p.add_argument("--communities", type=int, default=3, help="communities per group")
+    p.add_argument("--n", type=positive_int, default=100, help="nodes per layer")
+    p.add_argument("--layers", type=positive_int, default=40, help="number of layers")
+    p.add_argument("--groups", type=positive_int, default=3, help="number of layer groups")
+    p.add_argument("--communities", type=positive_int, default=3, help="communities per group")
     p.add_argument("--p-max", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
@@ -99,8 +99,8 @@ def _add_fit(sub):
     p = sub.add_parser("fit", help="fit one adjacency tensor")
     p.add_argument("--input", help="binary tensor file")
     p.add_argument("--edge-list", help="text edge-list file (l i j per line)")
-    p.add_argument("--layers", type=int, help="layer count for edge-list input")
-    p.add_argument("--nodes", type=int, help="node count for edge-list input")
+    p.add_argument("--layers", type=positive_int, help="layer count for edge-list input")
+    p.add_argument("--nodes", type=positive_int, help="node count for edge-list input")
     p.add_argument("--groups", type=positive_int, required=True)
     p.add_argument("--communities", required=True,
                    help="one count, or comma list per group")
@@ -185,8 +185,8 @@ def _add_scenario(sub):
     p.add_argument("--grid-points", type=positive_int, default=8)
     p.add_argument("--p-max", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--layers", type=int)
+    p.add_argument("--n", type=positive_int)
+    p.add_argument("--layers", type=positive_int)
     p.add_argument("--out", default="results")
     p.add_argument("--emit", default="csv", help="comma list from: csv,svg")
 
@@ -261,8 +261,8 @@ def _add_elbow(sub):
     p = sub.add_parser("elbow", help="objective vs group count")
     p.add_argument("--input", help="binary tensor file")
     p.add_argument("--edge-list", help="text edge-list file")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--nodes", type=int)
+    p.add_argument("--layers", type=positive_int)
+    p.add_argument("--nodes", type=positive_int)
     p.add_argument("--m-min", type=positive_int, default=1)
     p.add_argument("--m-max", type=positive_int, default=6)
     p.add_argument("--communities", type=positive_int, required=True)
@@ -273,13 +273,15 @@ def _add_elbow(sub):
 
 
 def _cmd_elbow(args) -> int:
+    if args.m_min > args.m_max:
+        raise SystemExit(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     a = _load_adjacency(args)
     rows = elbow_scan(
         a, range(args.m_min, args.m_max + 1), args.communities,
         master_seed=args.seed, eps_stop=args.eps, max_iter=args.max_iter,
     )
-    lines = ["m,objective,iters,converged"] + [
-        f"{row.m},{row.objective!r},{row.iters},{str(row.converged).lower()}"
+    lines = ["m,objective,iters,converged,stop_reason"] + [
+        f"{row.m},{row.objective!r},{row.iters},{str(row.converged).lower()},{row.stop_reason}"
         for row in rows
     ]
     text = "\n".join(lines)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import solver
 from .clustering import cluster_factor_pair
 from .errors import DegenerateIterateError, EstimationError
 from .initialization import spectral_init
@@ -180,6 +181,11 @@ def fit_method(
     return res, twist_iter_max, True, None
 
 
+def _failure_reason(exc: EstimationError) -> str:
+    """The stop reason of a fit that ``exc`` ended."""
+    return "degenerate" if isinstance(exc, DegenerateIterateError) else type(exc).__name__
+
+
 def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
     """All method records for one (grid point, replicate) cell."""
     value = cfg.grid[grid_idx]
@@ -215,8 +221,7 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
             r_bl, r_wl = score.r_bl, score.r_wl
         except EstimationError as exc:
             converged = False
-            stop_reason = ("degenerate" if isinstance(exc, DegenerateIterateError)
-                           else type(exc).__name__)
+            stop_reason = _failure_reason(exc)
         records.append(
             RunRecord(
                 scenario=cfg.scenario,
@@ -277,6 +282,20 @@ class ElbowRow:
     objective: float
     iters: int
     converged: bool
+    # "converged", "budget", "degenerate", or the class of the error that ended the fit
+    stop_reason: str
+
+
+def _elbow_workers(n: int, k: int, m_grid) -> int:
+    """Threads :func:`elbow_scan` fits its candidates on; 0 runs the serial loop.
+
+    The BLAS pin is process-wide, so candidates run concurrently only where
+    no candidate fit would pin and pool its own Q-step.
+    """
+    ranks = (k,) * max(m_grid, default=0)
+    if solver.pin_blas_threads is None or solver._warm_q_step_workers(n, ranks) > 1:
+        return 0
+    return min(len(m_grid), solver._usable_cpus())
 
 
 def elbow_scan(
@@ -288,33 +307,54 @@ def elbow_scan(
     max_iter: int = 100,
     kmeans_restarts: int = 20,
 ) -> list:
-    """Final fit objective for each candidate group count.
+    """Final fit objective for each candidate group count, one row per m in grid order.
 
     Every group of a candidate m gets ``k`` communities. The objective
     decreases in m; the largest successive drop marks the group count to pick.
     A candidate m whose fit degenerates (rank-deficient Procrustes step,
     typical for m above the true group count on clean data) is recorded as a
-    NaN row rather than dropped.
+    NaN row rather than dropped. Every m is checked before any fit starts.
+
+    Each candidate's spectral init, fit and objective run on a thread pool of
+    up to one worker per usable CPU, largest m first, with every worker (and
+    the caller while it waits) on one BLAS thread; the caller's thread count
+    is restored on return. A fit runs on one BLAS thread however many workers
+    there are, so the rows do not depend on the CPU count. Where a candidate
+    fit would pool its own Q-step (``solver.POOL_MIN_N`` nodes and up, on
+    more than one CPU) or BLAS cannot be pinned, the candidates run one after
+    another on the calling thread instead.
     """
     L = a.dims[0]
-    rows = []
-    for m in m_grid:
-        m = int(m)
+    grid = [int(m) for m in m_grid]
+    for m in grid:
         if not 1 <= m <= L:
             raise ValueError(f"candidate m={m} out of range for L={L}")
+    k = int(k)
+
+    def scan_one(m):
         try:
             w1 = spectral_init(
                 a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT),
                 restarts=kmeans_restarts,
             )
-            fit = alma_fit(
-                a, (int(k),) * m, w1,
-                AlmaConfig(eps_stop=eps_stop, max_iter=max_iter),
-            )
-            rows.append(ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used, fit.converged))
-        except EstimationError:
-            rows.append(ElbowRow(m, float("nan"), 0, False))
-    return rows
+            fit = alma_fit(a, (k,) * m, w1, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
+            return ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used, fit.converged,
+                            fit.stop_reason)
+        except EstimationError as exc:
+            return ElbowRow(m, float("nan"), 0, False, _failure_reason(exc))
+
+    workers = _elbow_workers(a.dims[1], k, grid)
+    if not workers:
+        return [scan_one(m) for m in grid]
+    caller_threads = solver.pin_blas_threads()
+    try:
+        with ThreadPoolExecutor(workers, initializer=solver.pin_blas_threads) as pool:
+            # fit cost grows with m, so the largest candidates start first
+            futures = {i: pool.submit(scan_one, grid[i])
+                       for i in sorted(range(len(grid)), key=lambda i: -grid[i])}
+            return [futures[i].result() for i in range(len(grid))]
+    finally:
+        solver.pin_blas_threads(caller_threads)
 
 
 CSV_COLUMNS = (

@@ -8,6 +8,8 @@ without coordination, and results cannot depend on scheduling order.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import RetryExhaustedError
@@ -129,17 +131,13 @@ def write_edge_list(x: Tensor3, path) -> None:
                 fh.write(f"{l} {i} {j}\n")
 
 
-def read_edge_list(path, layers: int | None = None, nodes: int | None = None) -> Tensor3:
-    """Read ``l i j`` lines back into a symmetric 0/1 tensor.
-
-    Dims are inferred from the maxima when not given. Blank lines and lines
-    starting with ``#`` are skipped.
-    """
+def _scan_edge_lines(path, layers: int | None, nodes: int | None) -> np.ndarray:
+    """The (E, 3) edges of a file parsed line by line; a bad line raises naming it."""
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             parts = line.split()
             if len(parts) != 3:
@@ -150,17 +148,60 @@ def read_edge_list(path, layers: int | None = None, nodes: int | None = None) ->
                 raise ValueError(f"line {lineno}: expected integers 'l i j', got {line!r}") from None
             if min(l, i, j) < 0 or i == j:
                 raise ValueError(f"line {lineno}: bad edge ({l}, {i}, {j})")
+            if (layers is not None and l >= layers) or (nodes is not None and max(i, j) >= nodes):
+                raise ValueError(
+                    f"line {lineno}: edge ({l}, {i}, {j}) outside dims ({layers}, {nodes})"
+                )
             edges.append((l, i, j))
+    return np.array(edges, dtype=np.int64).reshape(-1, 3)
+
+
+def _edges_ok(edges: np.ndarray, layers: int | None, nodes: int | None) -> bool:
+    """Whether every row is an ``l i j`` edge: no negative index, no self-loop, inside the dims."""
+    if edges.shape[1] != 3:
+        return False
+    l, i, j = edges.T
+    return bool(
+        edges.min(initial=0) >= 0 and np.all(i != j)
+        and (layers is None or l.max(initial=-1) < layers)
+        and (nodes is None or edges[:, 1:].max(initial=-1) < nodes)
+    )
+
+
+def read_edge_list(path, layers: int | None = None, nodes: int | None = None) -> Tensor3:
+    """Read ``l i j`` lines back into a symmetric 0/1 tensor.
+
+    Dims are inferred from the maxima when not given. Blank lines are
+    skipped, and a ``#`` starts a comment, on a line of its own or after the
+    three fields. The file is parsed in one ``np.loadtxt`` call and checked
+    with array operations; only a file that fails a check is read again line
+    by line, and the ``ValueError`` names its first bad line: a field count
+    other than 3, a non-integer token, a negative index, a self-loop
+    (``i == j``) or an edge outside the given dims.
+    """
+    for name, value in (("layers", layers), ("nodes", nodes)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    try:
+        with warnings.catch_warnings():
+            # an empty or comment-only file is valid; it fails the field count
+            # check and the line scan returns no edges
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            edges = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+        ok = _edges_ok(edges, layers, nodes)
+    except ValueError:
+        ok = False
+    if not ok:
+        edges = _scan_edge_lines(path, layers, nodes)
+    l, i, j = edges.T
     if layers is None:
-        layers = max((e[0] for e in edges), default=-1) + 1
+        layers = int(l.max(initial=-1)) + 1
     if nodes is None:
-        nodes = max((max(e[1], e[2]) for e in edges), default=-1) + 1
+        nodes = int(edges[:, 1:].max(initial=-1)) + 1
     if layers < 1 or nodes < 1:
         raise ValueError("cannot infer dims from an empty edge list; pass layers and nodes")
     out = np.zeros((layers, nodes, nodes))
-    for l, i, j in edges:
-        if l >= layers or max(i, j) >= nodes:
-            raise ValueError(f"edge ({l}, {i}, {j}) outside dims ({layers}, {nodes})")
-        out[l, i, j] = 1.0
-        out[l, j, i] = 1.0
-    return Tensor3(out)
+    out[l, i, j] = 1.0
+    out[l, j, i] = 1.0
+    # symmetric slices: the array is its own column-major-within-slice store
+    return Tensor3._wrap(out)

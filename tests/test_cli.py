@@ -180,7 +180,8 @@ def test_scenario_rejects_unknown_config_key(tmp_path, capsys):
         main(["scenario", "--scenario", "1", "--config", str(cfg_path)])
 
 
-@pytest.mark.parametrize("flag", ["--threads", "--replicates", "--grid-points", "--max-iter"])
+@pytest.mark.parametrize("flag", ["--threads", "--replicates", "--grid-points", "--max-iter",
+                                  "--n", "--layers"])
 def test_scenario_rejects_a_count_below_one(tmp_path, capsys, flag):
     with pytest.raises(SystemExit):
         main(["scenario", "--scenario", "3", flag, "0", "--out", str(tmp_path / "res")])
@@ -202,6 +203,37 @@ def test_fit_rejects_a_bad_count_at_parse_time(tmp_path, capsys, flag, value, me
         main(argv)
     assert exit_info.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--layers", "--groups", "--communities"])
+def test_generate_rejects_a_size_below_one(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        generate_small(tmp_path / "out", capsys, extra=[flag, "0"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "elbow"])
+@pytest.mark.parametrize("flag", ["--layers", "--nodes"])
+def test_edge_list_dims_below_one_fail_at_parse_time(tmp_path, capsys, command, flag):
+    generate_small(tmp_path, capsys, extra=["--edge-list"])
+    argv = [command, "--edge-list", str(tmp_path / "adjacency.edges"),
+            "--layers", "8", "--nodes", "14", flag, "0", "--communities", "2"]
+    if command == "fit":
+        argv += ["--groups", "2"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_elbow_rejects_an_empty_candidate_range(tmp_path, capsys):
+    generate_small(tmp_path, capsys)
+    with pytest.raises(SystemExit, match=r"^--m-min 4 exceeds --m-max 2$"):
+        main(["elbow", "--input", str(tmp_path / "adjacency.bin"),
+              "--m-min", "4", "--m-max", "2", "--communities", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_fit_rejects_a_zero_community_count(tmp_path, capsys):
@@ -249,6 +281,21 @@ def test_reproduce_curves_rejects_a_count_below_one(tmp_path, flag):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    pytest.param("1,5", "scenario must be one of [1, 2, 3, 4], got 5", id="unknown"),
+    pytest.param("1,x", "needs integers, got 'x'", id="non-integer"),
+])
+def test_reproduce_curves_rejects_a_bad_scenario_list(tmp_path, value, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_curves.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--scenarios", value, "--out", str(tmp_path / "res")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"argument --scenarios: {message}" in proc.stderr
+    assert not (tmp_path / "res").exists()
+
+
 def test_elbow_prints_and_writes(tmp_path, capsys):
     generate_small(tmp_path, capsys)
     code, out = run_cli(
@@ -259,9 +306,12 @@ def test_elbow_prints_and_writes(tmp_path, capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "m,objective,iters,converged"
+    assert lines[0] == "m,objective,iters,converged,stop_reason"
     assert lines[1].startswith("1,")
     assert lines[2].startswith("2,")
+    for line in lines[1:3]:
+        converged, stop_reason = line.split(",")[3:]
+        assert stop_reason == ("converged" if converged == "true" else "budget")
     saved = (tmp_path / "eres" / "elbow.csv").read_text().splitlines()
     assert saved[0] == lines[0]
     assert saved[1:] == lines[1:3]

@@ -1,11 +1,14 @@
 import csv
 import math
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from alma.errors import DegenerateIterateError, EmptyClusterError, EstimationError
+from alma import harness, solver
 from alma.harness import (
     CSV_COLUMNS,
     RunRecord,
@@ -19,10 +22,10 @@ from alma.harness import (
     write_runs_csv,
 )
 from alma.sampling import substream
-from alma.solver import AlmaConfig, alma_fit
+from alma.solver import POOL_MIN_N, AlmaConfig, alma_fit
 from alma.tensors import Tensor3, mode1_product
 from alma.linalg import rank_project
-from conftest import make_truth
+from conftest import make_noisy, make_truth
 
 
 def tiny_cfg(**overrides):
@@ -199,6 +202,8 @@ def test_elbow_marks_degenerate_candidates_nan():
     assert math.isnan(rows[1].objective)
     assert rows[1].m == 4
     assert not rows[1].converged
+    assert rows[0].stop_reason == ("converged" if rows[0].converged else "budget")
+    assert rows[1].stop_reason == "degenerate"
 
 
 def test_elbow_accepts_rank_rules():
@@ -241,3 +246,145 @@ def test_rows_say_why_each_fit_stopped(monkeypatch):
         monkeypatch.setattr(hz, "fit_method", failing_fit)
         rec = hz.run_single(tiny_cfg(methods=("alma",)), 0, 0)[0]
         assert (rec.failed, rec.converged, rec.stop_reason) == (True, False, reason)
+
+
+# The elbow scan fits its candidates on single-BLAS-thread workers.
+
+
+def elbow_input(seed=84, n=30):
+    return make_noisy(seed, n=n, L=12, m=2, k=2, p_max=0.7, alpha=0.5)[2]
+
+
+def elbow_table(rows):
+    return [(r.m, repr(r.objective), r.iters, r.converged, r.stop_reason) for r in rows]
+
+
+def scan(a, grid=(1, 2, 3, 4)):
+    return elbow_scan(a, grid, 2, master_seed=5, eps_stop=0.0, max_iter=15, kmeans_restarts=3)
+
+
+@pytest.fixture
+def fitting_threads(monkeypatch):
+    """(thread, m) of every candidate fit, and the most fits seen in flight at once."""
+    lock = threading.Lock()
+    seen = {"fits": [], "in_flight": 0, "most": 0}
+
+    def spy(a, ranks, w_init, config):
+        with lock:
+            seen["fits"].append((threading.current_thread(), len(ranks)))
+            seen["in_flight"] += 1
+            seen["most"] = max(seen["most"], seen["in_flight"])
+        try:
+            return alma_fit(a, ranks, w_init, config)
+        finally:
+            with lock:
+                seen["in_flight"] -= 1
+
+    monkeypatch.setattr(harness, "alma_fit", spy)
+    return seen
+
+
+def test_elbow_rows_do_not_depend_on_the_cpu_count(blas_pins, monkeypatch):
+    a = elbow_input()
+    tables = []
+    for cpus in (1, 2, 4, 2):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda cpus=cpus: cpus)
+        tables.append(elbow_table(scan(a)))
+    assert [row[0] for row in tables[0]] == [1, 2, 3, 4]
+    assert all(t == tables[0] for t in tables)
+
+
+def test_elbow_fits_every_candidate_on_a_pinned_worker(blas_pins, fitting_threads):
+    a = elbow_input()
+    found = solver.pin_blas_threads(2)
+    blas_pins.clear()
+    rows = scan(a)
+    # the scan put back the caller's 2 threads; the test puts back what it found
+    assert solver.pin_blas_threads(found) == 2
+    main = threading.main_thread()
+    fit_threads = {t for t, _ in fitting_threads["fits"]}
+    assert len(fitting_threads["fits"]) == 4 and main not in fit_threads
+    assert fit_threads <= {t for t, count, _ in blas_pins if count == 1}
+    assert [count for t, count, _ in blas_pins if t is main][0] == 1
+    assert [r.m for r in rows] == [1, 2, 3, 4]
+
+
+def test_elbow_starts_the_largest_candidate_first(blas_pins, fitting_threads, monkeypatch):
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+    rows = scan(elbow_input(), grid=(2, 1, 4, 3))
+    assert [m for _, m in fitting_threads["fits"]] == [4, 3, 2, 1]
+    assert [r.m for r in rows] == [2, 1, 4, 3]  # rows in grid order
+
+
+def test_elbow_at_the_q_step_pool_crossover_runs_serially(blas_pins, fitting_threads):
+    # each fit pools its own Q-step here, so the candidates must not pool too
+    a = elbow_input(n=POOL_MIN_N)
+    rows = elbow_scan(a, (1, 2), 2, master_seed=5, eps_stop=0.0, max_iter=2,
+                      kmeans_restarts=3)
+    assert [r.m for r in rows] == [1, 2]
+    assert fitting_threads["most"] == 1
+    assert {t for t, _ in fitting_threads["fits"]} == {threading.main_thread()}
+
+
+def test_elbow_without_the_pin_runs_serially(monkeypatch, fitting_threads):
+    monkeypatch.setattr(solver, "pin_blas_threads", None)
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    scan(elbow_input())
+    assert fitting_threads["most"] == 1
+    assert {t for t, _ in fitting_threads["fits"]} == {threading.main_thread()}
+
+
+def test_elbow_with_more_workers_than_cores_and_fast_thread_switches(blas_pins, monkeypatch):
+    a = elbow_input()
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+    expected = elbow_table(scan(a))
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+    results = []
+
+    def run():
+        results.append(elbow_table(scan(a)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert results == [expected]
+
+
+def test_elbow_checks_every_candidate_before_fitting(monkeypatch, fitting_threads):
+    with pytest.raises(ValueError, match="candidate m=13 out of range for L=12"):
+        scan(elbow_input(), grid=(1, 2, 13))
+    assert fitting_threads["fits"] == []
+
+
+def test_elbow_rows_name_the_error_that_ended_a_fit(blas_pins, monkeypatch):
+    def fail_at_3(a, ranks, w_init, config):
+        if len(ranks) == 3:
+            raise EmptyClusterError("no layer in group 2")
+        return alma_fit(a, ranks, w_init, config)
+
+    monkeypatch.setattr(harness, "alma_fit", fail_at_3)
+    rows = scan(elbow_input())
+    assert [r.stop_reason for r in rows] == ["budget", "budget", "EmptyClusterError", "budget"]
+    assert math.isnan(rows[2].objective) and (rows[2].iters, rows[2].converged) == (0, False)
+
+
+def test_elbow_worker_error_propagates_and_restores_the_count(blas_pins, monkeypatch):
+    def fail_at_2(a, ranks, w_init, config):
+        if len(ranks) == 2:
+            raise RuntimeError("fit failed")
+        return alma_fit(a, ranks, w_init, config)
+
+    monkeypatch.setattr(harness, "alma_fit", fail_at_2)
+    a = elbow_input()
+    before = threading.active_count()
+    found = solver.pin_blas_threads(2)
+    with pytest.raises(RuntimeError, match="fit failed"):
+        scan(a)
+    assert solver.pin_blas_threads(found) == 2
+    assert threading.active_count() == before

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alma import sampling
 from alma.errors import RetryExhaustedError
 from alma.sampling import (
     as_generator,
@@ -137,3 +140,71 @@ def test_empty_edge_list_needs_dims(tmp_path):
     t = read_edge_list(path, layers=2, nodes=3)
     assert t.dims == (2, 3, 3)
     assert t.array.sum() == 0.0
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param("0 1 2\n\n0 1\n", r"^line 3: expected 'l i j', got '0 1'$", id="2-fields"),
+    pytest.param("0 1 2\n0 1 2 3\n", r"^line 2: expected 'l i j', got '0 1 2 3'$",
+                 id="4-fields"),
+    pytest.param("# head\n0 1 2\n0 1.5 2\n",
+                 r"^line 3: expected integers 'l i j', got '0 1.5 2'$", id="non-integer"),
+    pytest.param("0 1 2\n0 -1 2\n", r"^line 2: bad edge \(0, -1, 2\)$", id="negative"),
+    pytest.param("0 1 2\n1 3 3\n", r"^line 2: bad edge \(1, 3, 3\)$", id="self-loop"),
+    pytest.param("0 1 2\n\n2 0 1\n", r"^line 3: edge \(2, 0, 1\) outside dims \(2, 4\)$",
+                 id="layer-out-of-range"),
+    pytest.param("0 1 2\n1 0 4\n", r"^line 2: edge \(1, 0, 4\) outside dims \(2, 4\)$",
+                 id="node-out-of-range"),
+])
+def test_edge_list_errors_name_the_first_bad_line(tmp_path, body, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(path, layers=2, nodes=4)
+
+
+def test_edge_list_skips_blank_and_comment_lines_and_trailing_comments(tmp_path):
+    path = tmp_path / "a.edges"
+    path.write_text("# l i j\n\n   \n0 0 1  # first edge\n\t# indented\n1 2 0\n")
+    t = read_edge_list(path, layers=2, nodes=3)
+    expect = np.zeros((2, 3, 3))
+    expect[0, 0, 1] = expect[0, 1, 0] = expect[1, 0, 2] = expect[1, 2, 0] = 1.0
+    assert t == Tensor3(expect)
+
+
+def test_only_a_failed_bulk_parse_reads_the_file_line_by_line(tmp_path, monkeypatch):
+    rescans = []
+
+    def spy(*args):
+        rescans.append(args)
+        return scan_edge_lines(*args)
+
+    scan_edge_lines = sampling._scan_edge_lines
+    monkeypatch.setattr(sampling, "_scan_edge_lines", spy)
+    path = tmp_path / "a.edges"
+    path.write_text("0 0 1\n1 2 0\n")
+    read_edge_list(path)
+    assert rescans == []
+    path.write_text("0 0 1\n1 2 2\n")
+    with pytest.raises(ValueError, match="^line 2: "):
+        read_edge_list(path)
+    assert len(rescans) == 1
+
+
+def test_comment_only_edge_list_raises_no_warning(tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("# nothing here\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = read_edge_list(path, layers=1, nodes=2)
+    assert t == Tensor3(np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize("dims, message", [
+    pytest.param(dict(layers=0), "layers must be >= 1, got 0", id="layers"),
+    pytest.param(dict(layers=2, nodes=-1), "nodes must be >= 1, got -1", id="nodes"),
+])
+def test_edge_list_names_dims_below_one(tmp_path, dims, message):
+    path = tmp_path / "a.edges"
+    path.write_text("0 0 1\n")
+    with pytest.raises(ValueError, match=message):
+        read_edge_list(path, **dims)

@@ -206,31 +206,6 @@ def test_q_update_rejects_mismatched_start():
 # A warm Q-step at n >= POOL_MIN_N projects its slices on a thread pool.
 
 
-@pytest.fixture
-def blas_pins(monkeypatch):
-    """Every (thread, count, previous count) the solver pins BLAS with.
-
-    Wraps the real pin when numpy has one, else stands in for it with one
-    process-wide count, so the pool runs on any host; two usable CPUs are
-    reported either way.
-    """
-    calls = []
-    real = solver.pin_blas_threads
-    shared = [2]
-
-    def pin(count=1):
-        if real is not None:
-            prev = real(count)
-        else:
-            prev, shared[0] = shared[0], count
-        calls.append((threading.current_thread(), count, prev))
-        return prev
-
-    monkeypatch.setattr(solver, "pin_blas_threads", pin)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-    return calls
-
-
 def warm_q_step_inputs(ranks, n=POOL_MIN_N):
     m = len(ranks)
     _, _, a = make_noisy(54, n=n, L=6, m=m, k=2, p_max=0.5, alpha=0.5)
