@@ -39,6 +39,12 @@ from .solver import objective
 from .tensors import read_tensor, write_tensor
 
 
+class _FlagConflict(Exception):
+    """Flags that contain no bad value alone but conflict with each other or
+    with the input's dims; :func:`main` exits 2 with the message, as argparse
+    does for a bad value."""
+
+
 def positive_int(text: str) -> int:
     """argparse type for a count: an integer >= 1."""
     try:
@@ -75,6 +81,10 @@ def _add_generate(sub):
 
 
 def _cmd_generate(args) -> int:
+    if args.communities > args.n:
+        raise _FlagConflict(f"--communities {args.communities} exceeds --n {args.n}")
+    if args.groups > args.layers:
+        raise _FlagConflict(f"--groups {args.groups} exceeds --layers {args.layers}")
     inst = sample_instance(
         args.n, args.layers, args.groups, args.communities,
         args.p_max, args.alpha, substream(args.seed, 0),
@@ -130,6 +140,15 @@ def _parse_ranks(text: str, m: int) -> tuple:
     return tuple(parts)
 
 
+def _check_input_dims(a, groups_flag: str, groups: int, ranks) -> None:
+    """Group and community counts against the loaded input, before any fit starts."""
+    L, n, _ = a.dims
+    if groups > L:
+        raise _FlagConflict(f"{groups_flag} {groups} exceeds the input's {L} layers")
+    if max(ranks) > n:
+        raise _FlagConflict(f"--communities {max(ranks)} exceeds the input's {n} nodes")
+
+
 def _load_adjacency(args):
     if bool(args.input) == bool(args.edge_list):
         raise SystemExit("pass exactly one of --input or --edge-list")
@@ -142,6 +161,7 @@ def _cmd_fit(args) -> int:
     a = _load_adjacency(args)
     m = args.groups
     ranks = _parse_ranks(args.communities, m)
+    _check_input_dims(a, "--groups", m, ranks)
     w1 = spectral_init(a, m, substream(args.seed, 2), restarts=args.restarts)
     res, iters, converged, fit = fit_method(
         a, args.method, ranks, w1, (args.seed,),
@@ -276,6 +296,7 @@ def _cmd_elbow(args) -> int:
     if args.m_min > args.m_max:
         raise SystemExit(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     a = _load_adjacency(args)
+    _check_input_dims(a, "--m-max", args.m_max, (args.communities,))
     rows = elbow_scan(
         a, range(args.m_min, args.m_max + 1), args.communities,
         master_seed=args.seed, eps_stop=args.eps, max_iter=args.max_iter,
@@ -355,8 +376,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except _FlagConflict as exc:
+        parser.exit(2, f"alma {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ reproducibility contract of the harness leans on.
 then asks ARPACK's Lanczos for the top-k pairs and keeps them only after an
 exact certificate (two Cholesky factorizations) proves no other eigenvalue
 is as large in magnitude; otherwise, and below the crossover, it runs the
-full dense ``eigh``.
+full dense ``eigh``. A :class:`Certificate` passed as the start carries the
+last proof to the next, nearby slice, so that most warm calls keep their
+Lanczos pairs with no factorization at all.
 
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
 so concurrent callers can each run single-threaded BLAS instead of sharing
@@ -33,6 +35,14 @@ from .errors import RankDeficientError
 SYMMETRY_RTOL = 1e-8
 # Smallest n at which warm-started Lanczos plus its certificate beats eigh.
 LANCZOS_MIN_N = 250
+# Where a re-certification puts its t between the estimate of |lambda_{k+1}|
+# and |theta_k|, as a fraction of that gap up from the estimate. Cholesky
+# factorizations per fit-large fit (n=600, 100 sweeps) on seeds 1-4, against
+# 594 each without the carry: 0.02 -> 215/48/34/205, 0.1 -> 196/50/34/199,
+# 0.25 -> 211/52/38/220, 0.5 -> 255/68/48/237, 0.75 -> 380/106/72/348. Lower
+# leaves more margin to carry; too low fails and falls back more often.
+RECERTIFY_FRAC = 0.1
+_EPS = np.finfo(np.float64).eps
 
 
 def _bind_openblas_threads_local():
@@ -139,21 +149,65 @@ def warm_start(prev: np.ndarray, k: int) -> np.ndarray | None:
     return v0 + 1e-3 * r
 
 
-def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray):
-    """Rank-k projection from warm Lanczos pairs, or None when uncertified.
+class Certificate:
+    """The eigen-certificate one slice carries from projection to projection.
 
-    With R = A - V diag(w) V^T and t just below |w_k|, tI - R and tI + R are
-    both positive definite exactly when every eigenvalue of R lies in
-    (-t, t), so no discarded eigenvalue outranks a kept one.
+    Pass it as :func:`rank_project`'s ``start``. Before each call the caller
+    sets ``v0``, the Lanczos start (see :func:`warm_start`; None runs the
+    dense ``eigh``); ``key``, whatever names the slice to the caller; and
+    ``drift``, a bound on the Frobenius distance from the slice to the one
+    proved under ``ref``. A call that proves its slice sets ``ref = key``.
+    After every call, at most k eigenvalues of the slice proved under
+    ``ref`` lie outside (-tau, tau); ``ref_norm`` is that slice's Frobenius
+    norm and ``below`` estimates its |lambda_{k+1}|.
+    """
+
+    __slots__ = ("v0", "key", "drift", "ref", "ref_norm", "tau", "below")
+
+    def __init__(self):
+        self.v0 = self.key = None
+        self.drift = np.inf
+        self.ref = None  # no proof yet
+        self.ref_norm = self.tau = np.inf
+        self.below = np.inf  # no estimate yet
+
+    def _prove(self, a: np.ndarray, tau: float) -> None:
+        self.ref = self.key
+        self.ref_norm = float(np.linalg.norm(a))
+        self.tau = tau + _round_off(a.shape[0], self.ref_norm)
+
+
+def _round_off(n: int, scale: float) -> float:
+    # a generous bound on the float error of an n x n product, eigh or
+    # Cholesky of matrices of Frobenius norm at most `scale`
+    return n * n * _EPS * scale
+
+
+def _ritz_radius(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """Each Ritz value lies this close to its own eigenvalue of ``a``.
+
+    Kahan's bound ||AQ - Q diag(w)||_2 for an orthonormal Q (Parlett 1998,
+    thm 11.5.1: the k Ritz values match k distinct eigenvalues). ARPACK's V
+    is orthonormal to rounding only: with eta >= ||V^T V - I||_2 and
+    Q = V (V^T V)^{-1/2}, the residual of Q is at most
+    ||AV - V diag(w)||_2 / sqrt(1 - eta) + 2 sqrt(1 + eta) max|w| eta / (1 - eta).
+    """
+    n, k = v.shape
+    eta = np.linalg.norm(v.T @ v - np.eye(k)) + n * _EPS
+    if eta >= 0.5:
+        return np.inf
+    resid = np.linalg.norm(a @ v - v * w)
+    return (resid / np.sqrt(1.0 - eta)
+            + 2.0 * np.sqrt(1.0 + eta) * float(np.abs(w).max()) * eta / (1.0 - eta))
+
+
+def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> bool:
+    """Whether every eigenvalue of R = A - V diag(w) V^T lies in (-t, t).
+
+    True exactly when tI - R and tI + R are both positive definite, which
+    two Cholesky factorizations decide.
     """
     n = a.shape[0]
-    try:
-        w, v = eigsh(a, k=k, which="LM", v0=v0, ncv=max(2 * k + 1, 10), tol=0)
-    except ArpackError:
-        return None
-    order = np.argsort(-np.abs(w), kind="stable")
-    w, v = w[order], v[:, order]
-    t = abs(w[-1]) * (1.0 - 1e-9)
     # tI - R, then tI + R = 2tI - (tI - R) in the same buffer
     buf = (v * w) @ v.T
     buf -= a
@@ -165,18 +219,67 @@ def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray):
         diag += 2.0 * t
         np.linalg.cholesky(buf)
     except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray, cert: Certificate | None = None):
+    """Rank-k projection from warm Lanczos pairs, or None when uncertified.
+
+    If ||R||_2 < t for R = A - V diag(w) V^T, Weyl's inequality puts every
+    eigenvalue of A but k inside (-t, t); with t just below |w_k| no
+    discarded eigenvalue then outranks a kept one. A ``cert`` first tries
+    to carry its last proof to ``a``: the slice proved under ``ref`` has at
+    most k eigenvalues outside (-tau, tau), so by Weyl ``a`` has at most k
+    outside (-tau - d, tau + d), where d = ``cert.drift`` bounds the
+    Frobenius, and so the spectral, norm of the difference. The pairs are
+    kept with no factorization when every Ritz value, less its distance to
+    its own eigenvalue, still lies beyond tau + d. When the margin runs out,
+    ``a`` is proved again at a t inside the gap below |w_k|
+    (``RECERTIFY_FRAC``), which proves more than t just below |w_k| and
+    leaves margin to carry; failing that, at t just below |w_k|.
+    """
+    n = a.shape[0]
+    try:
+        w, v = eigsh(a, k=k, which="LM", v0=v0, ncv=max(2 * k + 1, 10), tol=0)
+    except ArpackError:
         return None
-    # rebuilt rather than held through both factorizations
-    return (v * w) @ v.T
+    order = np.argsort(-np.abs(w), kind="stable")
+    w, v = w[order], v[:, order]
+    trials = [abs(w[-1]) * (1.0 - 1e-9)]
+    if cert is not None and cert.ref is not None:
+        # every kept Ritz value's own eigenvalue lies at least this far out
+        floor = (abs(w[-1]) - _ritz_radius(a, w, v)
+                 - _round_off(n, cert.ref_norm + cert.drift))
+        if floor > cert.tau + cert.drift:
+            return (v * w) @ v.T
+        if np.isfinite(cert.below):
+            t = cert.below + RECERTIFY_FRAC * (abs(w[-1]) - cert.below)
+            if t < floor:
+                trials.insert(0, t)
+    for t in trials:
+        if _residual_within(a, w, v, t):
+            if cert is not None:
+                cert._prove(a, t)
+            # rebuilt rather than held through both factorizations
+            return (v * w) @ v.T
+        if cert is not None:
+            # ||R||_2, about |lambda_{k+1}|, is at least t: aim higher next time
+            cert.below = t
+    return None
 
 
-def rank_project(a: np.ndarray, k: int, start: np.ndarray | None = None) -> np.ndarray:
+def rank_project(a: np.ndarray, k: int,
+                 start: np.ndarray | Certificate | None = None) -> np.ndarray:
     """Frobenius-nearest symmetric matrix of rank <= k.
 
     Keeps the k largest-magnitude eigenvalues. ``k >= n`` is the identity
     projection; ``k > n`` additionally emits a warning. ``start`` is an
-    optional Lanczos start vector (see :func:`warm_start`); it changes only
-    how the eigenpairs are found, and is ignored below ``LANCZOS_MIN_N``.
+    optional Lanczos start vector (see :func:`warm_start`), or a
+    :class:`Certificate` that holds one and carries the proof from the
+    previous call on a nearby matrix; it is refreshed in place. Either
+    changes only how the eigenpairs are found, and is ignored below
+    ``LANCZOS_MIN_N``.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
@@ -186,12 +289,20 @@ def rank_project(a: np.ndarray, k: int, start: np.ndarray | None = None) -> np.n
         if k > n:
             warnings.warn(f"rank {k} exceeds dimension {n}, clamping", RuntimeWarning)
         return a.copy()
-    if start is not None and _lanczos_applies(n, k):
-        low = _certified_topk(a, k, start)
+    cert = start if isinstance(start, Certificate) else None
+    v0 = start if cert is None else cert.v0
+    lanczos = _lanczos_applies(n, k)
+    if v0 is not None and lanczos:
+        low = _certified_topk(a, k, v0, cert)
         if low is not None:
             return low
     w, v = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(w), kind="stable")[:k]
+    order = np.argsort(-np.abs(w), kind="stable")
+    if cert is not None and lanczos:
+        # the full spectrum proves the tightest tau there is
+        cert.below = float(abs(w[order[k]]))
+        cert._prove(a, cert.below)
+    order = order[:k]
     return (v[:, order] * w[order]) @ v[:, order].T
 
 

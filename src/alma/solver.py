@@ -28,6 +28,13 @@ From ``POOL_MIN_N`` nodes up, a warm Q-step projects its group slices
 concurrently, one worker thread per slice up to the usable CPUs, each worker
 on one BLAS thread; the slices are independent, so the result is the one the
 serial loop gives.
+
+On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
+:class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
+first sweep's dense eigensolve seeds it, and a warm projection then skips
+its two Cholesky factorizations for as long as the slice has moved less than
+its spectral gap allows. How far a slice has moved is bounded from the
+layer Gram matrix of A, taken once per fit. It changes no result.
 """
 
 from __future__ import annotations
@@ -35,11 +42,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
-from .linalg import _lanczos_applies, pin_blas_threads, polar_project, rank_project, warm_start
+from .linalg import (
+    Certificate,
+    _lanczos_applies,
+    pin_blas_threads,
+    polar_project,
+    rank_project,
+    warm_start,
+)
 from .tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
 
 # Smallest n at which a warm Q-step's thread pool beats its serial loop.
@@ -134,6 +149,39 @@ def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:
     return w
 
 
+class _SliceDrift:
+    """Bounds ||S(u) - S(v)||_F from u - v, for the W-weighted slice sums
+    S(w) = sum_l w_l A_l as :func:`mode1_product` computes them.
+
+    In exact arithmetic the square is d^T G d, with d = u - v and G the
+    layer Gram matrix G[l, l'] = <A_l, A_l'>. The bound adds the float error
+    of G and of the form, at most (n^2 + L + 1) eps ||d||^2 ||A||_F^2, and
+    that of the two computed slices, at most L eps ||A||_F each (columns of
+    W have unit norm); each is taken twice over.
+    """
+
+    def __init__(self, a: Tensor3):
+        L, n, _ = a.dims
+        mat = mode1_matricize(a)
+        self.gram = mat @ mat.T
+        a_sq = float(np.trace(self.gram))
+        eps = np.finfo(np.float64).eps
+        self.form_err = 2.0 * (n * n + L + 1) * eps * a_sq
+        self.slice_err = 4.0 * L * eps * np.sqrt(a_sq)
+
+    def __call__(self, d: np.ndarray) -> float:
+        sq = float(d @ self.gram @ d) + self.form_err * float(d @ d)
+        return float(np.sqrt(max(sq, 0.0))) + self.slice_err
+
+
+class _CarriedStart(NamedTuple):
+    """A Q-step's start as :func:`alma_fit` carries it from sweep to sweep."""
+
+    q: Tensor3 | None  # the previous sweep's Q; None before the first sweep
+    certs: tuple  # per slice, a Certificate keyed by its W column, or None
+    drift: _SliceDrift
+
+
 def _usable_cpus() -> int:
     # reached only where the pin exists, i.e. on Linux
     return len(os.sched_getaffinity(0))
@@ -157,8 +205,10 @@ def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> 
     Slice m is the W(:, m)-weighted sum of adjacency slices, truncated to its
     ``ranks[m]`` largest-magnitude eigencomponents. ``start``, the previous
     sweep's Q, only warm-starts the eigensolver; the result is the same.
-    From ``POOL_MIN_N`` nodes up, warm-started slices are projected on a
-    thread pool when BLAS can be pinned (see :func:`alma.linalg.pin_blas_threads`).
+    (:func:`alma_fit` passes it together with each slice's carried
+    certificate, which the projections refresh in place.) From
+    ``POOL_MIN_N`` nodes up, warm-started slices are projected on a thread
+    pool when BLAS can be pinned (see :func:`alma.linalg.pin_blas_threads`).
     """
     L, n, n2 = a.dims
     if n != n2:
@@ -167,18 +217,26 @@ def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> 
     m = w.shape[1]
     if len(ranks) != m:
         raise ValueError(f"expected {m} ranks, got {len(ranks)}")
-    if start is not None and start.dims != (m, n, n):
-        raise ValueError(f"start dims {start.dims} do not match {(m, n, n)}")
+    q_prev, certs, drift = (start if isinstance(start, _CarriedStart)
+                            else (start, (None,) * m, None))
+    if q_prev is not None and q_prev.dims != (m, n, n):
+        raise ValueError(f"start dims {q_prev.dims} do not match {(m, n, n)}")
     core = mode1_product(a, w.T)
     ks = [int(k) for k in ranks]
-    starts = [None if start is None else warm_start(start.slice(j), ks[j]) for j in range(m)]
+    starts = [None if q_prev is None else warm_start(q_prev.slice(j), ks[j]) for j in range(m)]
+    for j, cert in enumerate(certs):
+        if cert is not None:
+            cert.v0, cert.key = starts[j], w[:, j].copy()
+            if cert.ref is not None:
+                cert.drift = drift(cert.key - cert.ref)
+            starts[j] = cert
     # Tensor3's store layout: slice j is held transposed
     store = np.empty((m, n, n))
 
     def project(j):
         store[j] = rank_project(core.slice(j), ks[j], start=starts[j]).T
 
-    workers = 1 if start is None else _warm_q_step_workers(n, ks)
+    workers = 1 if q_prev is None else _warm_q_step_workers(n, ks)
     if workers < 2:
         for j in range(m):
             project(j)
@@ -231,12 +289,15 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
     # pin is process-wide, and a W-step run on its thread pool leaves the
     # pool's helper thread spinning against the workers of the next Q-step.
     pin_warm_sweeps = _warm_q_step_workers(n, ranks) > 1
+    certs = tuple(Certificate() if _lanczos_applies(n, k) else None for k in ranks)
+    drift = _SliceDrift(a) if any(cert is not None for cert in certs) else None
     caller_threads = None
     try:
         for sweep in range(1, config.max_iter + 1):
             if sweep == 2 and pin_warm_sweeps:
                 caller_threads = pin_blas_threads()
-            q = q_update(a, w_prev, ranks, start=q_prev)
+            q = q_update(a, w_prev, ranks,
+                         start=q_prev if drift is None else _CarriedStart(q_prev, certs, drift))
             if config.record_trace:
                 trace.append(objective(a, q, w_prev))
             # the W-step, with G kept for the objective rule

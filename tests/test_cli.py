@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alma import cli
 from alma.cli import build_parser, main
 from alma.harness import fit_method
 from alma.initialization import spectral_init
@@ -234,6 +235,46 @@ def test_elbow_rejects_an_empty_candidate_range(tmp_path, capsys):
         main(["elbow", "--input", str(tmp_path / "adjacency.bin"),
               "--m-min", "4", "--m-max", "2", "--communities", "2"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "2"], "--communities 3 exceeds --n 2"),
+    (["--groups", "5", "--layers", "3"], "--groups 5 exceeds --layers 3"),
+])
+def test_generate_rejects_conflicting_sizes(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["generate", "--out", str(tmp_path / "out")] + argv)
+    assert exit_info.value.code == 2
+    assert f"alma generate: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--groups", "9", "--communities", "2"],
+     "alma fit: error: --groups 9 exceeds the input's 6 layers"),
+    (["elbow", "--m-max", "9", "--communities", "2"],
+     "alma elbow: error: --m-max 9 exceeds the input's 6 layers"),
+    (["fit", "--groups", "2", "--communities", "40"],
+     "alma fit: error: --communities 40 exceeds the input's 30 nodes"),
+    (["fit", "--groups", "2", "--communities", "2,40"],
+     "alma fit: error: --communities 40 exceeds the input's 30 nodes"),
+    (["elbow", "--m-max", "3", "--communities", "40"],
+     "alma elbow: error: --communities 40 exceeds the input's 30 nodes"),
+])
+def test_sizes_beyond_the_input_fail_before_any_fit(tmp_path, capsys, monkeypatch, argv, message):
+    run_cli(["generate", "--n", "30", "--layers", "6", "--groups", "2", "--communities", "2",
+             "--seed", "3", "--out", str(tmp_path)], capsys)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(cli, "spectral_init", no_fit)
+    monkeypatch.setattr(cli, "elbow_scan", no_fit)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--input", str(tmp_path / "adjacency.bin")])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_fit_rejects_a_zero_community_count(tmp_path, capsys):

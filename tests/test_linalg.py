@@ -240,3 +240,101 @@ def test_warm_start_only_above_the_crossover():
     assert warm_start(np.eye(LANCZOS_MIN_N), LANCZOS_MIN_N // 2) is None
     v0 = warm_start(np.eye(LANCZOS_MIN_N), 2)
     assert v0.shape == (LANCZOS_MIN_N,)
+
+
+# A Certificate carries the proof of one projection to the next, nearby slice.
+
+
+def scaled_bulk(u, lam, k, c):
+    """``u diag(lam) u^T`` with every eigenvalue past the k-th scaled by (1 - 2c).
+
+    The top-k pairs stay exactly as they were, and the change has Frobenius
+    norm 2c ||lam[k:]||.
+    """
+    lam = lam.copy()
+    lam[k:] *= 1.0 - 2.0 * c
+    s = (u * lam) @ u.T
+    return (s + s.T) / 2.0
+
+
+def seeded_certificate(s, k):
+    """A certificate seeded from the dense eigensolve of ``s``, as a fit's first sweep does."""
+    cert = linalg.Certificate()
+    cert.key = s
+    prev = rank_project(s, k, start=cert)
+    cert.v0 = warm_start(prev, k)
+    return cert
+
+
+def move_to(cert, s, moved):
+    # the caller's part: name the next slice and bound how far it moved
+    cert.key, cert.drift = moved, np.linalg.norm(moved - s)
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+
+    def spy(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+def test_carried_certificate_recertifies_once_the_slice_moves_past_its_margin(
+        cholesky_calls, eigsh_calls):
+    # |lambda_3| = 8 and every other eigenvalue lies in [-1, 1]: the dense
+    # seed proves tau just above 1, so a slice can move by about 7 before the
+    # proof stops covering it
+    k = 3
+    s, u, lam = rotated_spectrum(np.array([10.0, 9.0, 8.0]), 64)
+    bulk = np.linalg.norm(lam[k:])
+    for drift, factorizations in ((6.0, 0), (8.0, 2)):
+        cert = seeded_certificate(s, k)
+        assert cert.ref is s and cert.tau == pytest.approx(1.0, abs=1e-9)
+        moved = scaled_bulk(u, lam, k, drift / (2.0 * bulk))
+        move_to(cert, s, moved)
+        cholesky_calls.clear()
+        out = rank_project(moved, k, start=cert)
+        assert len(cholesky_calls) == factorizations
+        dense = rank_project(moved, k)
+        assert np.linalg.norm(out - dense) <= 1e-10 * np.linalg.norm(dense)
+        # the proof now covers the moved slice, with margin left to carry
+        assert (cert.ref is moved) == (factorizations > 0)
+        assert cert.tau < 8.0
+    assert eigsh_calls == [k, k]
+
+
+def test_carried_certificate_rejects_pairs_that_miss_an_eigenvalue_that_moved_in(
+        monkeypatch, cholesky_calls):
+    # an eigenvalue at 0 moves out to 8.5, past the kept 8, while Lanczos
+    # returns the old top 3: only the dense fallback gets the new top 3
+    k = 3
+    s, u, lam = rotated_spectrum(np.array([10.0, 9.0, 8.0]), 65)
+    cert = seeded_certificate(s, k)
+    zero = k + int(np.argmin(np.abs(lam[k:])))
+    moved = s + (8.5 - lam[zero]) * np.outer(u[:, zero], u[:, zero])
+    move_to(cert, s, moved)
+    monkeypatch.setattr(linalg, "eigsh", lambda *args, **kwargs: (lam[:k], u[:, :k]))
+    out = rank_project(moved, k, start=cert)
+    assert cholesky_calls  # the margin ran out, so the pairs were tested
+    assert np.allclose(np.sort(np.linalg.eigvalsh(out))[-k:], [8.5, 9.0, 10.0], atol=1e-9)
+    assert np.array_equal(out, rank_project(moved, k))
+
+
+def test_carried_certificate_checks_each_ritz_value_against_its_vector(
+        monkeypatch, cholesky_calls):
+    # Lanczos hands back 8 as the third value but a bulk eigenvector with it:
+    # the values alone would pass the carried margin, the residual does not
+    k = 3
+    s, u, lam = rotated_spectrum(np.array([10.0, 9.0, 8.0]), 66)
+    cert = seeded_certificate(s, k)
+    move_to(cert, s, s)
+    wrong = u[:, [0, 1, k]]
+    monkeypatch.setattr(linalg, "eigsh", lambda *args, **kwargs: (lam[:k], wrong))
+    out = rank_project(s, k, start=cert)
+    assert cholesky_calls
+    assert np.array_equal(out, rank_project(s, k))

@@ -7,7 +7,14 @@ import pytest
 from alma import solver
 from alma.errors import DegenerateIterateError, NonFiniteObjectiveError
 from alma.initialization import spectral_init
-from alma.linalg import polar_project, rank_project, sym_eig_topk, warm_start
+from alma.linalg import (
+    LANCZOS_MIN_N,
+    Certificate,
+    polar_project,
+    rank_project,
+    sym_eig_topk,
+    warm_start,
+)
 from alma.metrics import score_result
 from alma.clustering import cluster_factor_pair
 from alma.sampling import substream
@@ -194,6 +201,54 @@ def test_alma_fit_on_the_lanczos_path(eigsh_calls):
     trace = np.array(fit.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9 * trace[:-1])
     assert np.linalg.norm(fit.w.T @ fit.w - np.eye(2)) <= 1e-10
+
+
+def test_warm_q_steps_run_no_dense_fallback_and_mostly_no_factorization(
+        monkeypatch, eigsh_calls):
+    # n=300: the Lanczos path, below the pool crossover, so the serial loop
+    assert POOL_MIN_N > 300
+    _, _, a = make_noisy(55, n=300, L=12, m=3, k=3, p_max=0.5, alpha=0.5)
+    w1 = spectral_init(a, 3, substream(55, 2))
+    sweep = [0]
+    eigh_sweeps, cholesky_sweeps = [], []
+
+    def count_sweeps(*args, **kwargs):
+        sweep[0] += 1
+        return q_update(*args, **kwargs)
+
+    def spy(name, real, log):
+        def wrapped(*args, **kwargs):
+            log.append(sweep[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+
+    monkeypatch.setattr(solver, "q_update", count_sweeps)
+    spy("eigh", np.linalg.eigh, eigh_sweeps)
+    spy("cholesky", np.linalg.cholesky, cholesky_sweeps)
+    fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(eps_stop=0.0, max_iter=10))
+    assert fit.iters_used == sweep[0] == 10
+    assert eigh_sweeps == [1, 1, 1]
+    warm_slices = 3 * 9
+    assert eigsh_calls == [3] * warm_slices
+    # without the carried certificate every warm slice takes two
+    assert len(cholesky_sweeps) < 2 * warm_slices
+
+
+def test_carried_drift_bounds_how_far_each_slice_moved():
+    ranks = (2, 3)
+    _, _, a = make_noisy(56, n=LANCZOS_MIN_N, L=6, m=2, k=2, p_max=0.5, alpha=0.5)
+    rng = np.random.default_rng(56)
+    w0 = np.linalg.qr(rng.normal(size=(6, 2)))[0]
+    w1 = polar_project(w0 + 0.05 * rng.normal(size=(6, 2)))
+    drift = solver._SliceDrift(a)
+    certs = (Certificate(), Certificate())
+    q0 = q_update(a, w0, ranks, start=solver._CarriedStart(None, certs, drift))
+    assert all(np.array_equal(cert.ref, w0[:, j]) for j, cert in enumerate(certs))
+    q_update(a, w1, ranks, start=solver._CarriedStart(q0, certs, drift))
+    s0, s1 = mode1_product(a, w0.T), mode1_product(a, w1.T)
+    for j, cert in enumerate(certs):
+        moved = np.linalg.norm(s1.slice(j) - s0.slice(j))
+        assert moved <= cert.drift <= moved * (1.0 + 1e-9) + 1e-9
 
 
 def test_q_update_rejects_mismatched_start():
