@@ -39,9 +39,10 @@ from .solver import objective
 from .tensors import read_tensor, write_tensor
 
 
-class _FlagConflict(Exception):
-    """Flags that contain no bad value alone but conflict with each other or
-    with the input's dims; :func:`main` exits 2 with the message, as argparse
+class _UsageError(Exception):
+    """A usage error argparse cannot see: flags that conflict with each other
+    or with the input's dims, a bad ``--communities`` list or config file, or
+    a missing input file. :func:`main` exits 2 with the message, as argparse
     does for a bad value."""
 
 
@@ -82,9 +83,9 @@ def _add_generate(sub):
 
 def _cmd_generate(args) -> int:
     if args.communities > args.n:
-        raise _FlagConflict(f"--communities {args.communities} exceeds --n {args.n}")
+        raise _UsageError(f"--communities {args.communities} exceeds --n {args.n}")
     if args.groups > args.layers:
-        raise _FlagConflict(f"--groups {args.groups} exceeds --layers {args.layers}")
+        raise _UsageError(f"--groups {args.groups} exceeds --layers {args.layers}")
     inst = sample_instance(
         args.n, args.layers, args.groups, args.communities,
         args.p_max, args.alpha, substream(args.seed, 0),
@@ -130,13 +131,13 @@ def _parse_ranks(text: str, m: int) -> tuple:
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
-        raise SystemExit(f"--communities needs integers, got {text!r}") from None
+        raise _UsageError(f"--communities needs integers, got {text!r}") from None
     if len(parts) == 1:
         parts = parts * m
     if len(parts) != m:
-        raise SystemExit(f"--communities needs 1 or {m} values, got {len(parts)}")
+        raise _UsageError(f"--communities needs 1 or {m} values, got {len(parts)}")
     if min(parts) < 1:
-        raise SystemExit(f"--communities must be >= 1, got {text!r}")
+        raise _UsageError(f"--communities must be >= 1, got {text!r}")
     return tuple(parts)
 
 
@@ -144,17 +145,24 @@ def _check_input_dims(a, groups_flag: str, groups: int, ranks) -> None:
     """Group and community counts against the loaded input, before any fit starts."""
     L, n, _ = a.dims
     if groups > L:
-        raise _FlagConflict(f"{groups_flag} {groups} exceeds the input's {L} layers")
+        raise _UsageError(f"{groups_flag} {groups} exceeds the input's {L} layers")
     if max(ranks) > n:
-        raise _FlagConflict(f"--communities {max(ranks)} exceeds the input's {n} nodes")
+        raise _UsageError(f"--communities {max(ranks)} exceeds the input's {n} nodes")
+
+
+def _existing_file(flag: str, path: str) -> str:
+    if not os.path.isfile(path):
+        raise _UsageError(f"{flag} {path}: no such file")
+    return path
 
 
 def _load_adjacency(args):
     if bool(args.input) == bool(args.edge_list):
-        raise SystemExit("pass exactly one of --input or --edge-list")
+        raise _UsageError("pass exactly one of --input or --edge-list")
     if args.input:
-        return read_tensor(args.input)
-    return read_edge_list(args.edge_list, layers=args.layers, nodes=args.nodes)
+        return read_tensor(_existing_file("--input", args.input))
+    return read_edge_list(_existing_file("--edge-list", args.edge_list),
+                          layers=args.layers, nodes=args.nodes)
 
 
 def _cmd_fit(args) -> int:
@@ -225,11 +233,16 @@ _CONFIG_TYPES = {
 
 def _load_config(path) -> dict:
     """ScenarioConfig overrides from a JSON file, with every field name and count checked."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    with open(_existing_file("--config", path), "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _UsageError(f"--config {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise _UsageError(f"--config {path}: needs a JSON object")
     bad = set(raw) - set(ScenarioConfig.__dataclass_fields__)
     if bad:
-        raise SystemExit(f"unknown config fields: {sorted(bad)}")
+        raise _UsageError(f"unknown config fields: {sorted(bad)}")
     raw.pop("scenario", None)
     for key, parse in _CONFIG_TYPES.items():
         if key in raw:
@@ -240,7 +253,7 @@ def _load_config(path) -> dict:
                     raise argparse.ArgumentTypeError(f"needs a number, got {value!r}")
                 raw[key] = parse(repr(value))
             except argparse.ArgumentTypeError as exc:
-                raise SystemExit(f"config field {key}: {exc}") from None
+                raise _UsageError(f"config field {key}: {exc}") from None
     for key in ("grid", "methods"):
         if key in raw:
             raw[key] = tuple(raw[key])
@@ -294,7 +307,7 @@ def _add_elbow(sub):
 
 def _cmd_elbow(args) -> int:
     if args.m_min > args.m_max:
-        raise SystemExit(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
+        raise _UsageError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     a = _load_adjacency(args)
     _check_input_dims(a, "--m-max", args.m_max, (args.communities,))
     rows = elbow_scan(
@@ -323,7 +336,7 @@ def _add_diagnostics(sub):
 
 
 def _cmd_diagnostics(args) -> int:
-    inst = load_instance(args.instance)
+    inst = load_instance(_existing_file("--instance", args.instance))
     gt = assemble_ground_truth(inst)
     cond = condition_numbers(gt, inst.K, inst.p_max)
     report = check_a1(gt, inst.K)
@@ -380,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _FlagConflict as exc:
+    except _UsageError as exc:
         parser.exit(2, f"alma {args.command}: error: {exc}\n")
 
 

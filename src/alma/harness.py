@@ -11,13 +11,13 @@ results; wall-clock seconds are the only nondeterministic column.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import solver
 from .clustering import cluster_factor_pair
 from .errors import DegenerateIterateError, EstimationError
 from .initialization import spectral_init
@@ -286,16 +286,19 @@ class ElbowRow:
     stop_reason: str
 
 
-def _elbow_workers(n: int, k: int, m_grid) -> int:
+def _usable_cpus() -> int:
+    # reached only where the pin exists, i.e. on Linux
+    return len(os.sched_getaffinity(0))
+
+
+def _elbow_workers(m_grid) -> int:
     """Threads :func:`elbow_scan` fits its candidates on; 0 runs the serial loop.
 
-    The BLAS pin is process-wide, so candidates run concurrently only where
-    no candidate fit would pin and pool its own Q-step.
+    Each worker needs the BLAS pin, so that it runs one BLAS thread.
     """
-    ranks = (k,) * max(m_grid, default=0)
-    if solver.pin_blas_threads is None or solver._warm_q_step_workers(n, ranks) > 1:
+    if pin_blas_threads is None:
         return 0
-    return min(len(m_grid), solver._usable_cpus())
+    return min(len(m_grid), _usable_cpus())
 
 
 def elbow_scan(
@@ -319,10 +322,9 @@ def elbow_scan(
     up to one worker per usable CPU, largest m first, with every worker (and
     the caller while it waits) on one BLAS thread; the caller's thread count
     is restored on return. A fit runs on one BLAS thread however many workers
-    there are, so the rows do not depend on the CPU count. Where a candidate
-    fit would pool its own Q-step (``solver.POOL_MIN_N`` nodes and up, on
-    more than one CPU) or BLAS cannot be pinned, the candidates run one after
-    another on the calling thread instead.
+    there are, so the rows do not depend on the CPU count. Where BLAS cannot
+    be pinned, the candidates run one after another on the calling thread
+    instead.
     """
     L = a.dims[0]
     grid = [int(m) for m in m_grid]
@@ -343,18 +345,18 @@ def elbow_scan(
         except EstimationError as exc:
             return ElbowRow(m, float("nan"), 0, False, _failure_reason(exc))
 
-    workers = _elbow_workers(a.dims[1], k, grid)
+    workers = _elbow_workers(grid)
     if not workers:
         return [scan_one(m) for m in grid]
-    caller_threads = solver.pin_blas_threads()
+    caller_threads = pin_blas_threads()
     try:
-        with ThreadPoolExecutor(workers, initializer=solver.pin_blas_threads) as pool:
+        with ThreadPoolExecutor(workers, initializer=pin_blas_threads) as pool:
             # fit cost grows with m, so the largest candidates start first
             futures = {i: pool.submit(scan_one, grid[i])
                        for i in sorted(range(len(grid)), key=lambda i: -grid[i])}
             return [futures[i].result() for i in range(len(grid))]
     finally:
-        solver.pin_blas_threads(caller_threads)
+        pin_blas_threads(caller_threads)
 
 
 CSV_COLUMNS = (

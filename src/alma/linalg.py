@@ -6,13 +6,14 @@ so that its largest-magnitude coordinate is positive (lowest index wins a
 tie). Given equal inputs the outputs are bit-identical, which is what the
 reproducibility contract of the harness leans on.
 
-:func:`rank_project` can take a warm start. From ``LANCZOS_MIN_N`` nodes up it
-then asks ARPACK's Lanczos for the top-k pairs and keeps them only after an
-exact certificate (two Cholesky factorizations) proves no other eigenvalue
-is as large in magnitude; otherwise, and below the crossover, it runs the
-full dense ``eigh``. A :class:`Certificate` passed as the start carries the
-last proof to the next, nearby slice, so that most warm calls keep their
-Lanczos pairs with no factorization at all.
+:func:`rank_project` can take a warm start, a :class:`Certificate` that holds
+a Lanczos start vector. From ``LANCZOS_MIN_N`` nodes up it then asks ARPACK's
+Lanczos for the top-k pairs and keeps them only after an exact certificate
+(two Cholesky factorizations) proves no other eigenvalue is as large in
+magnitude; otherwise, and below the crossover, it runs the full dense
+``eigh``. The :class:`Certificate` carries the last proof to the next,
+nearby slice, so that most warm calls keep their Lanczos pairs with no
+factorization at all.
 
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
 so concurrent callers can each run single-threaded BLAS instead of sharing
@@ -223,12 +224,12 @@ def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> b
     return True
 
 
-def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray, cert: Certificate | None = None):
-    """Rank-k projection from warm Lanczos pairs, or None when uncertified.
+def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
+    """Rank-k projection from Lanczos pairs started at ``cert.v0``, or None when uncertified.
 
     If ||R||_2 < t for R = A - V diag(w) V^T, Weyl's inequality puts every
     eigenvalue of A but k inside (-t, t); with t just below |w_k| no
-    discarded eigenvalue then outranks a kept one. A ``cert`` first tries
+    discarded eigenvalue then outranks a kept one. The ``cert`` first tries
     to carry its last proof to ``a``: the slice proved under ``ref`` has at
     most k eigenvalues outside (-tau, tau), so by Weyl ``a`` has at most k
     outside (-tau - d, tau + d), where d = ``cert.drift`` bounds the
@@ -241,13 +242,13 @@ def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray, cert: Certificate | N
     """
     n = a.shape[0]
     try:
-        w, v = eigsh(a, k=k, which="LM", v0=v0, ncv=max(2 * k + 1, 10), tol=0)
+        w, v = eigsh(a, k=k, which="LM", v0=cert.v0, ncv=max(2 * k + 1, 10), tol=0)
     except ArpackError:
         return None
     order = np.argsort(-np.abs(w), kind="stable")
     w, v = w[order], v[:, order]
     trials = [abs(w[-1]) * (1.0 - 1e-9)]
-    if cert is not None and cert.ref is not None:
+    if cert.ref is not None:
         # every kept Ritz value's own eigenvalue lies at least this far out
         floor = (abs(w[-1]) - _ritz_radius(a, w, v)
                  - _round_off(n, cert.ref_norm + cert.drift))
@@ -259,27 +260,23 @@ def _certified_topk(a: np.ndarray, k: int, v0: np.ndarray, cert: Certificate | N
                 trials.insert(0, t)
     for t in trials:
         if _residual_within(a, w, v, t):
-            if cert is not None:
-                cert._prove(a, t)
+            cert._prove(a, t)
             # rebuilt rather than held through both factorizations
             return (v * w) @ v.T
-        if cert is not None:
-            # ||R||_2, about |lambda_{k+1}|, is at least t: aim higher next time
-            cert.below = t
+        # ||R||_2, about |lambda_{k+1}|, is at least t: aim higher next time
+        cert.below = t
     return None
 
 
-def rank_project(a: np.ndarray, k: int,
-                 start: np.ndarray | Certificate | None = None) -> np.ndarray:
+def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.ndarray:
     """Frobenius-nearest symmetric matrix of rank <= k.
 
     Keeps the k largest-magnitude eigenvalues. ``k >= n`` is the identity
     projection; ``k > n`` additionally emits a warning. ``start`` is an
-    optional Lanczos start vector (see :func:`warm_start`), or a
-    :class:`Certificate` that holds one and carries the proof from the
-    previous call on a nearby matrix; it is refreshed in place. Either
-    changes only how the eigenpairs are found, and is ignored below
-    ``LANCZOS_MIN_N``.
+    optional :class:`Certificate`: it holds the Lanczos start vector (see
+    :func:`warm_start`) and carries the proof from the previous call on a
+    nearby matrix, and is refreshed in place. It changes only how the
+    eigenpairs are found, and is ignored below ``LANCZOS_MIN_N``.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
@@ -289,19 +286,17 @@ def rank_project(a: np.ndarray, k: int,
         if k > n:
             warnings.warn(f"rank {k} exceeds dimension {n}, clamping", RuntimeWarning)
         return a.copy()
-    cert = start if isinstance(start, Certificate) else None
-    v0 = start if cert is None else cert.v0
-    lanczos = _lanczos_applies(n, k)
-    if v0 is not None and lanczos:
-        low = _certified_topk(a, k, v0, cert)
+    lanczos = start is not None and _lanczos_applies(n, k)
+    if lanczos and start.v0 is not None:
+        low = _certified_topk(a, k, start)
         if low is not None:
             return low
     w, v = np.linalg.eigh(a)
     order = np.argsort(-np.abs(w), kind="stable")
-    if cert is not None and lanczos:
+    if lanczos:
         # the full spectrum proves the tightest tau there is
-        cert.below = float(abs(w[order[k]]))
-        cert._prove(a, cert.below)
+        start.below = float(abs(w[order[k]]))
+        start._prove(a, start.below)
     order = order[:k]
     return (v[:, order] * w[order]) @ v[:, order].T
 

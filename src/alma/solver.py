@@ -24,10 +24,8 @@ costs no pass over the tensor: with W orthonormal,
 ||A - Q x1 W||^2 = ||A||^2 - 2 <W, G> + ||Q||^2, where G is the W-step's own
 slice correlation matrix and ||A||^2 is taken once per fit.
 
-From ``POOL_MIN_N`` nodes up, a warm Q-step projects its group slices
-concurrently, one worker thread per slice up to the usable CPUs, each worker
-on one BLAS thread; the slices are independent, so the result is the one the
-serial loop gives.
+A Q-step projects its group slices one after another on the calling thread,
+with whatever BLAS threads the caller runs.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
@@ -39,8 +37,6 @@ layer Gram matrix of A, taken once per fit. It changes no result.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,15 +46,12 @@ from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficie
 from .linalg import (
     Certificate,
     _lanczos_applies,
-    pin_blas_threads,
     polar_project,
     rank_project,
     warm_start,
 )
 from .tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
 
-# Smallest n at which a warm Q-step's thread pool beats its serial loop.
-POOL_MIN_N = 450
 # Largest relative fall of the objective in one sweep that ends a fit. At
 # 1e-5 scenario-1 fits stop at sweeps 3-32 and lose accuracy; at 1e-7 about
 # half of them still run the 100-sweep budget.
@@ -182,33 +175,16 @@ class _CarriedStart(NamedTuple):
     drift: _SliceDrift
 
 
-def _usable_cpus() -> int:
-    # reached only where the pin exists, i.e. on Linux
-    return len(os.sched_getaffinity(0))
-
-
-def _warm_q_step_workers(n: int, ranks) -> int:
-    """Threads a warm-started Q-step projects its slices on; 1 is the serial loop.
-
-    Only slices on the Lanczos path take a warm start, and the workers need
-    the BLAS pin, so that each runs one BLAS thread.
-    """
-    if (pin_blas_threads is None or n < POOL_MIN_N
-            or not any(_lanczos_applies(n, k) for k in ranks)):
-        return 1
-    return min(len(ranks), _usable_cpus())
-
-
-def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> Tensor3:
+def q_update(a: Tensor3, w: np.ndarray, ranks,
+             start: _CarriedStart | None = None) -> Tensor3:
     """Optimal rank-constrained Q for fixed orthonormal W.
 
     Slice m is the W(:, m)-weighted sum of adjacency slices, truncated to its
-    ``ranks[m]`` largest-magnitude eigencomponents. ``start``, the previous
-    sweep's Q, only warm-starts the eigensolver; the result is the same.
-    (:func:`alma_fit` passes it together with each slice's carried
-    certificate, which the projections refresh in place.) From
-    ``POOL_MIN_N`` nodes up, warm-started slices are projected on a thread
-    pool when BLAS can be pinned (see :func:`alma.linalg.pin_blas_threads`).
+    ``ranks[m]`` largest-magnitude eigencomponents. ``start`` is what
+    :func:`alma_fit` carries from sweep to sweep: the previous Q, which
+    warm-starts the eigensolver, and each slice's certificate, which the
+    projections refresh in place. It changes only how the eigenpairs are
+    found, not the result.
     """
     L, n, n2 = a.dims
     if n != n2:
@@ -217,38 +193,20 @@ def q_update(a: Tensor3, w: np.ndarray, ranks, start: Tensor3 | None = None) -> 
     m = w.shape[1]
     if len(ranks) != m:
         raise ValueError(f"expected {m} ranks, got {len(ranks)}")
-    q_prev, certs, drift = (start if isinstance(start, _CarriedStart)
-                            else (start, (None,) * m, None))
-    if q_prev is not None and q_prev.dims != (m, n, n):
-        raise ValueError(f"start dims {q_prev.dims} do not match {(m, n, n)}")
+    q_prev, certs, drift = (None, (None,) * m, None) if start is None else start
+    if len(certs) != m or (q_prev is not None and q_prev.dims != (m, n, n)):
+        raise ValueError(f"start does not match {m} slices of {n} x {n}")
     core = mode1_product(a, w.T)
-    ks = [int(k) for k in ranks]
-    starts = [None if q_prev is None else warm_start(q_prev.slice(j), ks[j]) for j in range(m)]
-    for j, cert in enumerate(certs):
-        if cert is not None:
-            cert.v0, cert.key = starts[j], w[:, j].copy()
-            if cert.ref is not None:
-                cert.drift = drift(cert.key - cert.ref)
-            starts[j] = cert
     # Tensor3's store layout: slice j is held transposed
     store = np.empty((m, n, n))
-
-    def project(j):
-        store[j] = rank_project(core.slice(j), ks[j], start=starts[j]).T
-
-    workers = 1 if q_prev is None else _warm_q_step_workers(n, ks)
-    if workers < 2:
-        for j in range(m):
-            project(j)
-    else:
-        # numpy's OpenBLAS applies the pin to the whole process, so the
-        # caller's count is restored once the workers are done
-        caller_threads = pin_blas_threads()
-        try:
-            with ThreadPoolExecutor(workers, initializer=pin_blas_threads) as pool:
-                list(pool.map(project, range(m)))
-        finally:
-            pin_blas_threads(caller_threads)
+    for j, (k, cert) in enumerate(zip(ranks, certs)):
+        k = int(k)
+        if cert is not None:
+            cert.v0 = None if q_prev is None else warm_start(q_prev.slice(j), k)
+            cert.key = w[:, j].copy()
+            if cert.ref is not None:
+                cert.drift = drift(cert.key - cert.ref)
+        store[j] = rank_project(core.slice(j), k, start=cert).T
     return Tensor3._wrap(store)
 
 
@@ -284,53 +242,41 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
         amat = mode1_matricize(a).reshape(-1)
         a_sq = float(amat @ amat)
     f_prev = None
-    # From sweep 2 on the Q-step projects on single-BLAS-thread workers, and
-    # the rest of each sweep stays on one BLAS thread too: numpy's OpenBLAS
-    # pin is process-wide, and a W-step run on its thread pool leaves the
-    # pool's helper thread spinning against the workers of the next Q-step.
-    pin_warm_sweeps = _warm_q_step_workers(n, ranks) > 1
     certs = tuple(Certificate() if _lanczos_applies(n, k) else None for k in ranks)
     drift = _SliceDrift(a) if any(cert is not None for cert in certs) else None
-    caller_threads = None
-    try:
-        for sweep in range(1, config.max_iter + 1):
-            if sweep == 2 and pin_warm_sweeps:
-                caller_threads = pin_blas_threads()
-            q = q_update(a, w_prev, ranks,
-                         start=q_prev if drift is None else _CarriedStart(q_prev, certs, drift))
-            if config.record_trace:
-                trace.append(objective(a, q, w_prev))
-            # the W-step, with G kept for the objective rule
-            g = mode23_product(a, q)
-            try:
-                w = polar_project(g, rank_tol=config.rank_tol)
-            except RankDeficientError as exc:
-                raise DegenerateIterateError(sweep, exc) from exc
-            if config.record_trace:
-                trace.append(objective(a, q, w))
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mode1_matricize(q)))):
-                raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
-            if trace and not np.isfinite(trace[-1]):
+    for sweep in range(1, config.max_iter + 1):
+        q = q_update(a, w_prev, ranks,
+                     start=None if drift is None else _CarriedStart(q_prev, certs, drift))
+        if config.record_trace:
+            trace.append(objective(a, q, w_prev))
+        # the W-step, with G kept for the objective rule
+        g = mode23_product(a, q)
+        try:
+            w = polar_project(g, rank_tol=config.rank_tol)
+        except RankDeficientError as exc:
+            raise DegenerateIterateError(sweep, exc) from exc
+        if config.record_trace:
+            trace.append(objective(a, q, w))
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mode1_matricize(q)))):
+            raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
+        if trace and not np.isfinite(trace[-1]):
+            raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
+        iters = sweep
+        step = float(np.linalg.norm(w - w_prev))
+        if step <= config.eps_stop:
+            converged = True
+            if sweep > 1:
+                q, w = q_prev, w_prev
+            break
+        if a_sq is not None:
+            f = _objective_after_w_step(a, a_sq, q, w, g)
+            if not np.isfinite(f):
                 raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
-            iters = sweep
-            step = float(np.linalg.norm(w - w_prev))
-            if step <= config.eps_stop:
+            if f_prev is not None and f_prev - f <= OBJECTIVE_RTOL * f_prev:
                 converged = True
-                if sweep > 1:
-                    q, w = q_prev, w_prev
                 break
-            if a_sq is not None:
-                f = _objective_after_w_step(a, a_sq, q, w, g)
-                if not np.isfinite(f):
-                    raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
-                if f_prev is not None and f_prev - f <= OBJECTIVE_RTOL * f_prev:
-                    converged = True
-                    break
-                f_prev = f
-            q_prev, w_prev = q, w
-    finally:
-        if caller_threads is not None:
-            pin_blas_threads(caller_threads)
+            f_prev = f
+        q_prev, w_prev = q, w
 
     return FactorPair(
         w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from alma import linalg, solver
+from alma import harness, linalg
 from alma.model import MmlsbmInstance, assemble_ground_truth, planted_connectivity
 from alma.sampling import sample_adjacency, sample_instance, substream
 
@@ -61,14 +61,14 @@ def eigsh_calls(monkeypatch):
 
 @pytest.fixture
 def blas_pins(monkeypatch):
-    """Every (thread, count, previous count) the solver and the elbow scan pin BLAS with.
+    """Every (thread, count, previous count) the elbow scan pins BLAS with.
 
     Wraps the real pin when numpy has one, else stands in for it with one
     process-wide count, so the pool runs on any host; two usable CPUs are
     reported either way.
     """
     calls = []
-    real = solver.pin_blas_threads
+    real = harness.pin_blas_threads
     shared = [2]
 
     def pin(count=1):
@@ -79,6 +79,6 @@ def blas_pins(monkeypatch):
         calls.append((threading.current_thread(), count, prev))
         return prev
 
-    monkeypatch.setattr(solver, "pin_blas_threads", pin)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "pin_blas_threads", pin)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     return calls

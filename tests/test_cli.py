@@ -20,6 +20,16 @@ def run_cli(argv, capsys):
     return code, out
 
 
+def usage_error(argv, capsys):
+    """The stderr of a CLI call that must exit 2 on a usage error, printing nothing else."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    return captured.err
+
+
 def generate_small(tmp_path, capsys, extra=()):
     argv = [
         "generate", "--n", "14", "--layers", "8", "--groups", "2",
@@ -114,32 +124,31 @@ def test_fit_prints_the_fit_method_result(tmp_path, capsys, method):
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):
     generate_small(tmp_path, capsys)
-    with pytest.raises(SystemExit):
-        main(["fit", "--groups", "2", "--communities", "2"])
-    with pytest.raises(SystemExit):
-        main([
-            "fit", "--input", str(tmp_path / "adjacency.bin"),
-            "--edge-list", str(tmp_path / "x.edges"),
-            "--groups", "2", "--communities", "2",
-        ])
+    message = "alma fit: error: pass exactly one of --input or --edge-list"
+    assert message in usage_error(["fit", "--groups", "2", "--communities", "2"], capsys)
+    assert message in usage_error([
+        "fit", "--input", str(tmp_path / "adjacency.bin"),
+        "--edge-list", str(tmp_path / "x.edges"),
+        "--groups", "2", "--communities", "2",
+    ], capsys)
 
 
 def test_fit_rejects_wrong_rank_count(tmp_path, capsys):
     generate_small(tmp_path, capsys)
-    with pytest.raises(SystemExit):
-        main([
-            "fit", "--input", str(tmp_path / "adjacency.bin"),
-            "--groups", "3", "--communities", "2,2",
-        ])
+    err = usage_error([
+        "fit", "--input", str(tmp_path / "adjacency.bin"),
+        "--groups", "3", "--communities", "2,2",
+    ], capsys)
+    assert "alma fit: error: --communities needs 1 or 3 values, got 2" in err
 
 
 def test_fit_rejects_non_integer_rank(tmp_path, capsys):
     generate_small(tmp_path, capsys)
-    with pytest.raises(SystemExit, match="--communities needs integers"):
-        main([
-            "fit", "--input", str(tmp_path / "adjacency.bin"),
-            "--groups", "2", "--communities", "2,x",
-        ])
+    err = usage_error([
+        "fit", "--input", str(tmp_path / "adjacency.bin"),
+        "--groups", "2", "--communities", "2,x",
+    ], capsys)
+    assert "alma fit: error: --communities needs integers, got '2,x'" in err
 
 
 def test_scenario_emits_results(tmp_path, capsys):
@@ -177,8 +186,8 @@ def test_scenario_config_file_overrides(tmp_path, capsys):
 def test_scenario_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"banana": 1}))
-    with pytest.raises(SystemExit):
-        main(["scenario", "--scenario", "1", "--config", str(cfg_path)])
+    err = usage_error(["scenario", "--scenario", "1", "--config", str(cfg_path)], capsys)
+    assert "alma scenario: error: unknown config fields: ['banana']" in err
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--replicates", "--grid-points", "--max-iter",
@@ -231,10 +240,9 @@ def test_edge_list_dims_below_one_fail_at_parse_time(tmp_path, capsys, command, 
 
 def test_elbow_rejects_an_empty_candidate_range(tmp_path, capsys):
     generate_small(tmp_path, capsys)
-    with pytest.raises(SystemExit, match=r"^--m-min 4 exceeds --m-max 2$"):
-        main(["elbow", "--input", str(tmp_path / "adjacency.bin"),
-              "--m-min", "4", "--m-max", "2", "--communities", "2"])
-    assert capsys.readouterr().out == ""
+    err = usage_error(["elbow", "--input", str(tmp_path / "adjacency.bin"),
+                       "--m-min", "4", "--m-max", "2", "--communities", "2"], capsys)
+    assert err == "alma elbow: error: --m-min 4 exceeds --m-max 2\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -279,9 +287,9 @@ def test_sizes_beyond_the_input_fail_before_any_fit(tmp_path, capsys, monkeypatc
 
 def test_fit_rejects_a_zero_community_count(tmp_path, capsys):
     generate_small(tmp_path, capsys)
-    with pytest.raises(SystemExit, match="--communities must be >= 1"):
-        main(["fit", "--input", str(tmp_path / "adjacency.bin"),
-              "--groups", "2", "--communities", "2,0"])
+    err = usage_error(["fit", "--input", str(tmp_path / "adjacency.bin"),
+                       "--groups", "2", "--communities", "2,0"], capsys)
+    assert "alma fit: error: --communities must be >= 1, got '2,0'" in err
 
 
 def test_elbow_rejects_a_zero_sweep_budget(tmp_path, capsys):
@@ -300,14 +308,65 @@ def test_elbow_rejects_a_zero_sweep_budget(tmp_path, capsys):
     ({"kmeans_restarts": True}, "config field kmeans_restarts: needs a number, got True"),
     ({"eps_stop": -0.5}, "config field eps_stop: must be >= 0, got -0.5"),
 ])
-def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, fields, message):
+def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fields, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(fields))
-    with pytest.raises(SystemExit) as exit_info:
-        main(["scenario", "--scenario", "3", "--config", str(cfg_path),
-              "--out", str(tmp_path / "res")])
-    assert str(exit_info.value) == message
+    err = usage_error(["scenario", "--scenario", "3", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "res")], capsys)
+    assert err == f"alma scenario: error: {message}\n"
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["elbow", "--input", "{dir}/adjacency.bin", "--m-min", "4", "--m-max", "2",
+                  "--communities", "2"],
+                 "alma elbow: error: --m-min 4 exceeds --m-max 2", id="elbow-empty-range"),
+    pytest.param(["fit", "--groups", "2", "--communities", "2"],
+                 "alma fit: error: pass exactly one of --input or --edge-list", id="fit-no-source"),
+    pytest.param(["fit", "--input", "{dir}/adjacency.bin", "--edge-list", "{dir}/adjacency.edges",
+                  "--groups", "2", "--communities", "2"],
+                 "alma fit: error: pass exactly one of --input or --edge-list",
+                 id="fit-two-sources"),
+    pytest.param(["fit", "--input", "{dir}/adjacency.bin", "--groups", "2",
+                  "--communities", "2,x"],
+                 "alma fit: error: --communities needs integers, got '2,x'",
+                 id="fit-non-integer-rank"),
+    pytest.param(["fit", "--input", "{dir}/adjacency.bin", "--groups", "2",
+                  "--communities", "2,2,2"],
+                 "alma fit: error: --communities needs 1 or 2 values, got 3",
+                 id="fit-wrong-rank-count"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/unknown.json"],
+                 "alma scenario: error: unknown config fields: ['banana']",
+                 id="config-unknown-field"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/bad.json"],
+                 "alma scenario: error: config field threads: must be >= 1, got 0",
+                 id="config-bad-field"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/empty.json"],
+                 "alma scenario: error: --config {dir}/empty.json: "
+                 "Expecting value: line 1 column 1 (char 0)", id="config-not-json"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/number.json"],
+                 "alma scenario: error: --config {dir}/number.json: needs a JSON object",
+                 id="config-not-an-object"),
+    pytest.param(["fit", "--input", "{dir}/missing.bin", "--groups", "2", "--communities", "2"],
+                 "alma fit: error: --input {dir}/missing.bin: no such file", id="missing-input"),
+    pytest.param(["elbow", "--edge-list", "{dir}/missing.edges", "--communities", "2"],
+                 "alma elbow: error: --edge-list {dir}/missing.edges: no such file",
+                 id="missing-edge-list"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/missing.json"],
+                 "alma scenario: error: --config {dir}/missing.json: no such file",
+                 id="missing-config"),
+    pytest.param(["diagnostics", "--instance", "{dir}/missing.json"],
+                 "alma diagnostics: error: --instance {dir}/missing.json: no such file",
+                 id="missing-instance"),
+])
+def test_usage_errors_exit_2_with_the_command_prefix(tmp_path, capsys, argv, message):
+    generate_small(tmp_path, capsys, extra=["--edge-list"])
+    (tmp_path / "unknown.json").write_text(json.dumps({"banana": 1}))
+    (tmp_path / "bad.json").write_text(json.dumps({"threads": 0}))
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "number.json").write_text("3")
+    err = usage_error([arg.format(dir=tmp_path) for arg in argv], capsys)
+    assert err == message.format(dir=tmp_path) + "\n"
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--grid-points", "--replicates"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from alma.errors import DegenerateIterateError, EmptyClusterError, EstimationError
-from alma import harness, solver
+from alma import harness
 from alma.harness import (
     CSV_COLUMNS,
     RunRecord,
@@ -22,7 +22,7 @@ from alma.harness import (
     write_runs_csv,
 )
 from alma.sampling import substream
-from alma.solver import POOL_MIN_N, AlmaConfig, alma_fit
+from alma.solver import alma_fit
 from alma.tensors import Tensor3, mode1_product
 from alma.linalg import rank_project
 from conftest import make_noisy, make_truth
@@ -285,22 +285,23 @@ def fitting_threads(monkeypatch):
 
 
 def test_elbow_rows_do_not_depend_on_the_cpu_count(blas_pins, monkeypatch):
-    a = elbow_input()
-    tables = []
-    for cpus in (1, 2, 4, 2):
-        monkeypatch.setattr(solver, "_usable_cpus", lambda cpus=cpus: cpus)
-        tables.append(elbow_table(scan(a)))
-    assert [row[0] for row in tables[0]] == [1, 2, 3, 4]
-    assert all(t == tables[0] for t in tables)
+    # at n=450 every candidate fit's warm Q-steps are on the Lanczos path
+    for a in (elbow_input(), elbow_input(n=450)):
+        tables = []
+        for cpus in (1, 2, 4, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+            tables.append(elbow_table(scan(a)))
+        assert [row[0] for row in tables[0]] == [1, 2, 3, 4]
+        assert all(t == tables[0] for t in tables)
 
 
 def test_elbow_fits_every_candidate_on_a_pinned_worker(blas_pins, fitting_threads):
     a = elbow_input()
-    found = solver.pin_blas_threads(2)
+    found = harness.pin_blas_threads(2)
     blas_pins.clear()
     rows = scan(a)
     # the scan put back the caller's 2 threads; the test puts back what it found
-    assert solver.pin_blas_threads(found) == 2
+    assert harness.pin_blas_threads(found) == 2
     main = threading.main_thread()
     fit_threads = {t for t, _ in fitting_threads["fits"]}
     assert len(fitting_threads["fits"]) == 4 and main not in fit_threads
@@ -310,25 +311,15 @@ def test_elbow_fits_every_candidate_on_a_pinned_worker(blas_pins, fitting_thread
 
 
 def test_elbow_starts_the_largest_candidate_first(blas_pins, fitting_threads, monkeypatch):
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     rows = scan(elbow_input(), grid=(2, 1, 4, 3))
     assert [m for _, m in fitting_threads["fits"]] == [4, 3, 2, 1]
     assert [r.m for r in rows] == [2, 1, 4, 3]  # rows in grid order
 
 
-def test_elbow_at_the_q_step_pool_crossover_runs_serially(blas_pins, fitting_threads):
-    # each fit pools its own Q-step here, so the candidates must not pool too
-    a = elbow_input(n=POOL_MIN_N)
-    rows = elbow_scan(a, (1, 2), 2, master_seed=5, eps_stop=0.0, max_iter=2,
-                      kmeans_restarts=3)
-    assert [r.m for r in rows] == [1, 2]
-    assert fitting_threads["most"] == 1
-    assert {t for t, _ in fitting_threads["fits"]} == {threading.main_thread()}
-
-
 def test_elbow_without_the_pin_runs_serially(monkeypatch, fitting_threads):
-    monkeypatch.setattr(solver, "pin_blas_threads", None)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "pin_blas_threads", None)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     scan(elbow_input())
     assert fitting_threads["most"] == 1
     assert {t for t, _ in fitting_threads["fits"]} == {threading.main_thread()}
@@ -336,9 +327,9 @@ def test_elbow_without_the_pin_runs_serially(monkeypatch, fitting_threads):
 
 def test_elbow_with_more_workers_than_cores_and_fast_thread_switches(blas_pins, monkeypatch):
     a = elbow_input()
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     expected = elbow_table(scan(a))
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     results = []
 
     def run():
@@ -383,8 +374,8 @@ def test_elbow_worker_error_propagates_and_restores_the_count(blas_pins, monkeyp
     monkeypatch.setattr(harness, "alma_fit", fail_at_2)
     a = elbow_input()
     before = threading.active_count()
-    found = solver.pin_blas_threads(2)
+    found = harness.pin_blas_threads(2)
     with pytest.raises(RuntimeError, match="fit failed"):
         scan(a)
-    assert solver.pin_blas_threads(found) == 2
+    assert harness.pin_blas_threads(found) == 2
     assert threading.active_count() == before

@@ -171,6 +171,13 @@ def sbm_aggregate(seed, layers):
     return a.array[:layers].sum(axis=0)
 
 
+def fresh_certificate(v0):
+    """A certificate that holds a Lanczos start and no proof yet."""
+    cert = linalg.Certificate()
+    cert.v0 = v0
+    return cert
+
+
 def rotated_spectrum(values, seed):
     n = LANCZOS_MIN_N
     lam = np.concatenate([values, np.linspace(-1.0, 1.0, n - len(values))])
@@ -181,7 +188,7 @@ def rotated_spectrum(values, seed):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_warm_rank_project_matches_dense(k, eigsh_calls):
     s = sbm_aggregate(60, 8)
-    start = warm_start(rank_project(sbm_aggregate(60, 6), k), k)
+    start = fresh_certificate(warm_start(rank_project(sbm_aggregate(60, 6), k), k))
     dense = rank_project(s, k)
     warm = rank_project(s, k, start=start)
     assert eigsh_calls == [k]
@@ -197,9 +204,9 @@ def test_column_major_slice_projects_to_the_same_bits(eigsh_calls):
     core = mode1_product(a, w.T)
     s = core.slice(0)
     assert s.flags.f_contiguous and not s.flags.c_contiguous
-    start = warm_start(rank_project(np.ascontiguousarray(core.slice(1)), 3), 3)
-    warm = rank_project(np.ascontiguousarray(s), 3, start=start)
-    assert np.array_equal(rank_project(s, 3, start=start), warm)
+    v0 = warm_start(rank_project(np.ascontiguousarray(core.slice(1)), 3), 3)
+    warm = rank_project(np.ascontiguousarray(s), 3, start=fresh_certificate(v0))
+    assert np.array_equal(rank_project(s, 3, start=fresh_certificate(v0)), warm)
     assert eigsh_calls == [3, 3]
 
 
@@ -211,7 +218,7 @@ def test_warm_start_in_the_wrong_subspace_still_matches_dense(k, eigsh_calls):
     s, u, lam = rotated_spectrum(np.concatenate([top, -top / 1.001]), 61)
     wrong = (u[:, k:2 * k] * lam[k:2 * k]) @ u[:, k:2 * k].T
     dense = rank_project(s, k)
-    warm = rank_project(s, k, start=warm_start(wrong, k))
+    warm = rank_project(s, k, start=fresh_certificate(warm_start(wrong, k)))
     assert eigsh_calls == [k]
     assert np.linalg.norm(warm - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -219,7 +226,7 @@ def test_warm_start_in_the_wrong_subspace_still_matches_dense(k, eigsh_calls):
 def test_magnitude_tie_at_rank_k_keeps_the_dense_tie_rule(eigsh_calls):
     lam = np.concatenate([[9.0, 7.0, 5.0, -5.0], np.linspace(-1.0, 1.0, LANCZOS_MIN_N - 4)])
     s = np.diag(lam)
-    out = rank_project(s, 3, start=warm_start(rank_project(s, 3), 3))
+    out = rank_project(s, 3, start=fresh_certificate(warm_start(rank_project(s, 3), 3)))
     assert eigsh_calls == [3]
     assert np.array_equal(out, rank_project(s, 3))
     assert np.array_equal(np.diag(out)[:4], [9.0, 7.0, 0.0, -5.0])
@@ -231,7 +238,7 @@ def test_lanczos_no_convergence_falls_back_to_dense(monkeypatch):
 
     monkeypatch.setattr(linalg, "eigsh", fail)
     s = sbm_aggregate(62, 8)
-    start = warm_start(rank_project(s, 2), 2)
+    start = fresh_certificate(warm_start(rank_project(s, 2), 2))
     assert np.array_equal(rank_project(s, 2, start=start), rank_project(s, 2))
 
 

@@ -1,10 +1,9 @@
-import sys
 import threading
 
 import numpy as np
 import pytest
 
-from alma import solver
+from alma import linalg, solver
 from alma.errors import DegenerateIterateError, NonFiniteObjectiveError
 from alma.initialization import spectral_init
 from alma.linalg import (
@@ -13,14 +12,12 @@ from alma.linalg import (
     polar_project,
     rank_project,
     sym_eig_topk,
-    warm_start,
 )
 from alma.metrics import score_result
 from alma.clustering import cluster_factor_pair
 from alma.sampling import substream
 from alma.solver import (
     OBJECTIVE_RTOL,
-    POOL_MIN_N,
     AlmaConfig,
     FactorPair,
     alma_fit,
@@ -205,8 +202,6 @@ def test_alma_fit_on_the_lanczos_path(eigsh_calls):
 
 def test_warm_q_steps_run_no_dense_fallback_and_mostly_no_factorization(
         monkeypatch, eigsh_calls):
-    # n=300: the Lanczos path, below the pool crossover, so the serial loop
-    assert POOL_MIN_N > 300
     _, _, a = make_noisy(55, n=300, L=12, m=3, k=3, p_max=0.5, alpha=0.5)
     w1 = spectral_init(a, 3, substream(55, 2))
     sweep = [0]
@@ -254,132 +249,36 @@ def test_carried_drift_bounds_how_far_each_slice_moved():
 def test_q_update_rejects_mismatched_start():
     _, _, a = make_noisy(53, n=10, L=5, m=1, k=2)
     w = np.full((5, 1), 1.0 / np.sqrt(5.0))
+    drift = solver._SliceDrift(a)
     with pytest.raises(ValueError):
-        q_update(a, w, (2,), start=Tensor3(np.zeros((2, 10, 10))))
+        q_update(a, w, (2,), start=solver._CarriedStart(
+            Tensor3(np.zeros((2, 10, 10))), (Certificate(),), drift))
+    with pytest.raises(ValueError):
+        q_update(a, w, (2,), start=solver._CarriedStart(
+            None, (Certificate(), Certificate()), drift))
 
 
-# A warm Q-step at n >= POOL_MIN_N projects its slices on a thread pool.
+def test_fit_projects_every_slice_on_the_calling_thread(monkeypatch):
+    # n=450: every warm slice is on the Lanczos path, and the fit pins no BLAS
+    pins, threads = [], []
+    real_pin = linalg._openblas_threads_local
+    if real_pin is not None:
+        def pin_spy(count):
+            pins.append(count)
+            return real_pin(count)
+        monkeypatch.setattr(linalg, "_openblas_threads_local", pin_spy)
 
-
-def warm_q_step_inputs(ranks, n=POOL_MIN_N):
-    m = len(ranks)
-    _, _, a = make_noisy(54, n=n, L=6, m=m, k=2, p_max=0.5, alpha=0.5)
-    w0 = np.linalg.qr(np.random.default_rng(54).normal(size=(6, m)))[0]
-    q_prev = q_update(a, w0, ranks)
-    return a, w_update(a, q_prev), q_prev
-
-
-def serial_q_step(a, w, ranks, q_prev):
-    core = mode1_product(a, w.T)
-    return Tensor3(np.stack([
-        rank_project(core.slice(j), k, start=warm_start(q_prev.slice(j), k))
-        for j, k in enumerate(ranks)
-    ]))
-
-
-@pytest.fixture
-def projecting_threads(monkeypatch):
-    """The thread of every rank_project call q_update makes."""
-    threads = []
-
-    def spy(*args, **kwargs):
+    def project_spy(*args, **kwargs):
         threads.append(threading.current_thread())
         return rank_project(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "rank_project", spy)
-    return threads
-
-
-def test_warm_q_update_projects_on_pinned_workers(blas_pins, projecting_threads):
-    ranks = (2, 3, 2)
-    a, w, q_prev = warm_q_step_inputs(ranks)
-    expected = serial_q_step(a, w, ranks, q_prev)
-    projecting_threads.clear()
-    blas_pins.clear()
-    assert q_update(a, w, ranks, start=q_prev) == expected
-    main = threading.main_thread()
-    assert len(projecting_threads) == 3 and main not in projecting_threads
-    # every thread that projected a slice had pinned itself to one BLAS thread
-    assert set(projecting_threads) <= {t for t, count, _ in blas_pins if count == 1}
-    on_main = [(count, prev) for t, count, prev in blas_pins if t is main]
-    assert on_main[0][0] == 1 and on_main[-1][0] == on_main[0][1]  # caller's count restored
-
-
-def test_more_workers_than_cores_with_fast_thread_switches(blas_pins, monkeypatch):
-    ranks = (2, 3, 2, 3)
-    a, w, q_prev = warm_q_step_inputs(ranks)
-    expected = serial_q_step(a, w, ranks, q_prev)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 4)
-    results = []
-
-    def run():
-        results.append(q_update(a, w, ranks, start=q_prev))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=run)
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert results == [expected]
-    # the executor starts at most 4 threads, fewer when one is already idle
-    assert 2 <= len({t for t, _, _ in blas_pins} - {runner}) <= 4
-
-
-def test_q_update_without_the_pin_runs_the_serial_loop(monkeypatch, projecting_threads):
-    monkeypatch.setattr(solver, "pin_blas_threads", None)
-    monkeypatch.setattr(solver, "_usable_cpus", lambda: 2)
-    ranks = (2, 3, 2)
-    a, w, q_prev = warm_q_step_inputs(ranks)
-    expected = serial_q_step(a, w, ranks, q_prev)
-    projecting_threads.clear()
-    assert q_update(a, w, ranks, start=q_prev) == expected
-    assert projecting_threads == [threading.main_thread()] * 3
-
-
-def test_warm_q_update_below_the_pool_crossover_runs_the_serial_loop(
-        blas_pins, projecting_threads, eigsh_calls):
-    ranks = (2, 3, 2)
-    a, w, q_prev = warm_q_step_inputs(ranks, n=POOL_MIN_N - 1)
-    projecting_threads.clear()
-    q_update(a, w, ranks, start=q_prev)
-    assert eigsh_calls == [2, 3, 2]  # warm Lanczos, yet no pool
-    assert projecting_threads == [threading.main_thread()] * 3
-    assert blas_pins == []
-
-
-def test_worker_error_propagates_and_leaves_no_threads(blas_pins, monkeypatch):
-    ranks = (2, 3, 2)
-    a, w, q_prev = warm_q_step_inputs(ranks)
-
-    def fail_on_rank_3(s, k, start=None):
-        if k == 3:
-            raise RuntimeError("slice failed")
-        return rank_project(s, k, start=start)
-
-    monkeypatch.setattr(solver, "rank_project", fail_on_rank_3)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="slice failed"):
-        q_update(a, w, ranks, start=q_prev)
-    assert threading.active_count() == before
-    main = threading.main_thread()
-    on_main = [(count, prev) for t, count, prev in blas_pins if t is main]
-    assert on_main[-1][0] == on_main[0][1]
-
-
-def test_alma_fit_pins_warm_sweeps_and_restores_the_count(blas_pins):
-    ranks = (2, 2)
-    a, w, _ = warm_q_step_inputs(ranks)
-    fit = alma_fit(a, ranks, w, AlmaConfig(eps_stop=0.0, max_iter=3))
+    monkeypatch.setattr(solver, "rank_project", project_spy)
+    _, _, a = make_noisy(54, n=450, L=6, m=3, k=2, p_max=0.5, alpha=0.5)
+    w0 = np.linalg.qr(np.random.default_rng(54).normal(size=(6, 3)))[0]
+    fit = alma_fit(a, (2, 3, 2), w0, AlmaConfig(eps_stop=0.0, max_iter=3))
     assert fit.iters_used == 3
-    main = threading.main_thread()
-    on_main = [(count, prev) for t, count, prev in blas_pins if t is main]
-    # pinned once before sweep 2, each of the two warm Q-steps pins and
-    # restores, and the fit restores the count it found
-    assert [count for count, _ in on_main] == [1, 1, 1, 1, 1, on_main[0][1]]
+    assert threads == [threading.current_thread()] * 9
+    assert pins == []
 
 
 # The objective stop rule.
@@ -423,7 +322,7 @@ def test_zero_tolerance_runs_the_budget_and_never_takes_the_objective(monkeypatc
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [100, POOL_MIN_N])
+@pytest.mark.parametrize("n", [100, 450])
 def test_objective_from_the_w_step_matches_the_residual(monkeypatch, n):
     # no fallback to the residual, so the expansion itself is checked
     monkeypatch.setattr(solver, "_CANCELLATION_FRAC", 0.0)
@@ -431,9 +330,10 @@ def test_objective_from_the_w_step_matches_the_residual(monkeypatch, n):
     w = np.linalg.qr(np.random.default_rng(62).normal(size=(8, 2)))[0]
     amat = mode1_matricize(a).reshape(-1)
     a_sq = float(amat @ amat)
+    certs, drift = (Certificate(), Certificate()), solver._SliceDrift(a)
     q = None
     for _ in range(3):
-        q = q_update(a, w, (2, 2), start=q)
+        q = q_update(a, w, (2, 2), start=solver._CarriedStart(q, certs, drift))
         g = mode23_product(a, q)
         w = polar_project(g)
         ref = objective(a, q, w)
