@@ -285,14 +285,26 @@ def fitting_threads(monkeypatch):
 
 
 def test_elbow_rows_do_not_depend_on_the_cpu_count(blas_pins, monkeypatch):
+    a = elbow_input()
+    tables = []
+    for cpus in (1, 2, 4, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        tables.append(elbow_table(scan(a)))
+    assert [row[0] for row in tables[0]] == [1, 2, 3, 4]
+    assert all(t == tables[0] for t in tables)
+
+
+def test_elbow_pools_lanczos_sized_candidates_whatever_the_cpu_count(
+        blas_pins, fitting_threads, monkeypatch):
     # at n=450 every candidate fit's warm Q-steps are on the Lanczos path
-    for a in (elbow_input(), elbow_input(n=450)):
-        tables = []
-        for cpus in (1, 2, 4, 2):
-            monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
-            tables.append(elbow_table(scan(a)))
-        assert [row[0] for row in tables[0]] == [1, 2, 3, 4]
-        assert all(t == tables[0] for t in tables)
+    a = elbow_input(n=450)
+    tables = []
+    for cpus in (1, 2, 4, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        tables.append(elbow_table(scan(a)))
+    assert [row[0] for row in tables[0]] == [1, 2, 3, 4]
+    assert all(t == tables[0] for t in tables)
+    assert threading.main_thread() not in {t for t, _ in fitting_threads["fits"]}
 
 
 def test_elbow_fits_every_candidate_on_a_pinned_worker(blas_pins, fitting_threads):
