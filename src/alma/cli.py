@@ -19,6 +19,7 @@ import numpy as np
 
 from .diagnostics import beta_nl, check_a1, condition_numbers, kappa_h
 from .harness import (
+    METHODS,
     ScenarioConfig,
     elbow_scan,
     emit_results,
@@ -219,7 +220,7 @@ def _add_scenario(sub):
     p.add_argument("--emit", default="csv", help="comma list from: csv,svg")
 
 
-# the config file's count and tolerance fields, checked as their flags are
+# the config file's number fields, checked as their flags are
 _CONFIG_TYPES = {
     "replicates": positive_int,
     "threads": positive_int,
@@ -228,11 +229,25 @@ _CONFIG_TYPES = {
     "twist_r": positive_int,
     "twist_iter_max": positive_int,
     "eps_stop": nonnegative_float,
+    "p_max": float,
+    "alpha": float,
 }
 
 
+def _is_number(value) -> bool:
+    # a JSON true is an int to Python, but not a number here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _config_list(key: str, value, valid, what: str) -> tuple:
+    """A config field that must be a nonempty JSON list whose items all pass ``valid``."""
+    if not isinstance(value, list) or not value or not all(valid(v) for v in value):
+        raise _UsageError(f"config field {key}: needs a nonempty list of {what}, got {value!r}")
+    return tuple(value)
+
+
 def _load_config(path) -> dict:
-    """ScenarioConfig overrides from a JSON file, with every field name and count checked."""
+    """ScenarioConfig overrides from a JSON file, with every field name and value type checked."""
     with open(_existing_file("--config", path), "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -249,14 +264,17 @@ def _load_config(path) -> dict:
             value = raw[key]
             try:
                 # int() would take a JSON true or "3"; neither is a count
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if not _is_number(value):
                     raise argparse.ArgumentTypeError(f"needs a number, got {value!r}")
                 raw[key] = parse(repr(value))
             except argparse.ArgumentTypeError as exc:
                 raise _UsageError(f"config field {key}: {exc}") from None
-    for key in ("grid", "methods"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    if "grid" in raw:
+        raw["grid"] = _config_list("grid", raw["grid"], _is_number, "numbers")
+    if "methods" in raw:
+        raw["methods"] = _config_list(
+            "methods", raw["methods"], METHODS.__contains__, f"names from {', '.join(METHODS)}"
+        )
     return raw
 
 
@@ -280,7 +298,12 @@ def _cmd_scenario(args) -> int:
         if value is not None:
             overrides[fieldname] = value
     if args.methods is not None:
-        overrides["methods"] = tuple(args.methods.split(","))
+        names = args.methods.split(",")
+        if not all(name in METHODS for name in names):
+            raise _UsageError(
+                f"--methods needs a comma list from {','.join(METHODS)}, got {args.methods!r}"
+            )
+        overrides["methods"] = tuple(names)
     cfg = scenario_config(args.scenario, grid_points=args.grid_points, **overrides)
     records = run_scenario(cfg)
     formats = tuple(args.emit.split(","))

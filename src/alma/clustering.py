@@ -2,9 +2,20 @@
 
 k-means is deliberately hand-rolled: restarts consume independent derived
 streams, ties between restarts resolve to the lowest restart index, empty
-clusters are reseeded from the farthest point, and assignment ties go to the
-lowest center index. Those rules make the whole pipeline replayable from a
-master seed regardless of scheduling.
+clusters are reseeded from the farthest point that can move without emptying
+another cluster, and assignment ties go to the lowest center index. Those
+rules make the whole pipeline replayable from a master seed regardless of
+scheduling. Points must be finite.
+
+The Lloyd iterations of all restarts run as one array pass over a
+(restarts, n, k) distance array, in blocks of restarts sized from n*k*d so
+that temporaries do not grow with the restart count on large inputs. Each
+restart stops on its own tolerance test and then leaves the active set. The
+result is bit-identical to running the restarts one after another, because
+every sum keeps the order numpy's per-restart expressions use: distances add
+coordinates one after another (pairwise from eight on), centers add their
+members in row order as a mean over several columns does, and a one-column
+mean, which numpy sums pairwise, is taken cluster by cluster.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ from .errors import EmptyClusterError
 from .linalg import sym_eig_topk
 from .sampling import as_generator
 from .tensors import Tensor3
+
+# a block of restarts holds at most this many n*k*d work items, so its
+# (block, n, k) temporaries stay in cache
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,30 +73,87 @@ def _plusplus_seed(points, k, rng):
     return centers
 
 
-def _lloyd(points, cfg, rng):
-    n, k = points.shape[0], cfg.k
-    centers = _plusplus_seed(points, k, rng)
-    labels = np.zeros(n, dtype=np.int64)
-    prev_obj = np.inf
-    trace = []
-    obj = np.inf
-    for _ in range(cfg.max_iter):
-        dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = dist2.argmin(axis=1)
-        mindist = dist2[np.arange(n), labels]
-        for c in range(k):
-            if not np.any(labels == c):
-                far = int(mindist.argmax())
-                labels[far] = c
-                mindist[far] = 0.0
-        obj = float(mindist.sum())
-        trace.append(obj)
-        if prev_obj - obj <= cfg.tol * max(1.0, obj):
+def _reseed_empty(labels, mindist, counts):
+    """Give each empty cluster, in index order, the farthest point it may take.
+
+    A point may not leave a cluster already visited if it is that cluster's
+    only member, so no cluster stays empty (n >= k leaves a cluster with two
+    members to take from). Whenever the farthest point overall may move, it
+    is the one taken. Updates all three arrays in place.
+    """
+    for c in range(counts.shape[0]):
+        if counts[c] == 0:
+            movable = (counts[labels] > 1) | (labels > c)
+            far = int(np.where(movable, mindist, -1.0).argmax())
+            counts[labels[far]] -= 1
+            counts[c] = 1
+            labels[far] = c
+            mindist[far] = 0.0
+
+
+def _sq_dist(points, centers):
+    """Squared distances (R, n, k) from the points to each restart's centers.
+
+    Coordinates are summed in the order numpy sums a short last axis: one
+    after another below eight, pairwise from eight on.
+    """
+    n, d = points.shape
+    if d >= 8:
+        return ((points[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
+    dist2 = np.zeros((centers.shape[0], n, centers.shape[1]))
+    for j in range(d):
+        dist2 += (points[None, :, None, j] - centers[:, None, :, j]) ** 2
+    return dist2
+
+
+def _cluster_means(points, labels, counts):
+    """Per-restart cluster means (R, k, d) of ``points`` under ``labels`` (R, n)."""
+    rows, k = counts.shape
+    d = points.shape[1]
+    if d == 1:
+        # numpy's mean sums one column pairwise; keep that order per cluster
+        return np.array([[points[lab == c].mean(axis=0) for c in range(k)] for lab in labels])
+    # bincount adds members in row order, as mean(axis=0) does over several columns
+    cells = (labels + k * np.arange(rows)[:, None]).ravel()
+    sums = [np.bincount(cells, np.tile(col, rows), rows * k) for col in points.T]
+    return np.stack(sums, axis=1).reshape(rows, k, d) / counts[:, :, None]
+
+
+def _batched_lloyd(points, centers, cfg):
+    """Lloyd iterations of a block of restarts from their seeds ``centers`` (R, k, d).
+
+    Updates ``centers`` in place and returns each restart's labels (R, n),
+    objective (R,), trace (R, max_iter) and iteration count (R,); the trace
+    row holds the objective after each assignment step.
+    """
+    n = points.shape[0]
+    restarts, k, _ = centers.shape
+    labels = np.empty((restarts, n), dtype=np.int64)
+    objective = np.empty(restarts)
+    trace = np.empty((restarts, cfg.max_iter))
+    iters = np.zeros(restarts, dtype=np.int64)
+    prev = np.full(restarts, np.inf)
+    active = np.arange(restarts)
+    for it in range(cfg.max_iter):
+        dist2 = _sq_dist(points, centers[active])
+        lab = dist2.argmin(axis=2)
+        mindist = np.take_along_axis(dist2, lab[:, :, None], axis=2)[:, :, 0]
+        cells = lab + k * np.arange(active.size)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=active.size * k).reshape(-1, k)
+        for row in np.flatnonzero((counts == 0).any(axis=1)):
+            _reseed_empty(lab[row], mindist[row], counts[row])
+        obj = mindist.sum(axis=1)
+        labels[active] = lab
+        objective[active] = obj
+        trace[active, it] = obj
+        iters[active] = it + 1
+        going = prev[active] - obj > cfg.tol * np.maximum(1.0, obj)
+        prev[active] = obj
+        active = active[going]
+        if not active.size:
             break
-        prev_obj = obj
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-    return KmeansResult(labels, centers, obj, trace)
+        centers[active] = _cluster_means(points, lab[going], counts[going])
+    return labels, objective, trace, iters
 
 
 def kmeans(points: np.ndarray, cfg: KmeansConfig, rng) -> KmeansResult:
@@ -92,17 +164,24 @@ def kmeans(points: np.ndarray, cfg: KmeansConfig, rng) -> KmeansResult:
     each assignment step (non-increasing).
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("points must be a 2-d array")
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError("points must be a 2-d array with at least one column")
     if points.shape[0] < cfg.k:
         raise ValueError(f"need at least k={cfg.k} points, got {points.shape[0]}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     rng = as_generator(rng)
-    best = None
-    for stream in rng.spawn(cfg.restarts):
-        res = _lloyd(points, cfg, stream)
-        if best is None or res.objective < best.objective:
-            best = res
-    return best
+    centers = np.stack([_plusplus_seed(points, cfg.k, s) for s in rng.spawn(cfg.restarts)])
+    n, d = points.shape
+    block = max(1, _BLOCK_ELEMENTS // (n * cfg.k * d))
+    starts = range(0, cfg.restarts, block)
+    blocks = [_batched_lloyd(points, centers[i:i + block], cfg) for i in starts]
+    labels, objective, trace, iters = (np.concatenate(parts) for parts in zip(*blocks))
+    best = int(objective.argmin())
+    return KmeansResult(
+        labels[best].copy(), centers[best].copy(), float(objective[best]),
+        trace[best, :iters[best]].tolist(),
+    )
 
 
 def within_layer_labels(

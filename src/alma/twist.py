@@ -90,13 +90,16 @@ def twist_fit(a: Tensor3, cfg: TwistConfig, u_init: np.ndarray, w_init: np.ndarr
     arr = a.array
     u_t = regularize_rows(u, _delta(cfg.delta1, u), cfg.r)
     w_t = regularize_rows(w, _delta(cfg.delta2, w), cfg.M)
+    # the shapes are fixed for the fit, so search each contraction order once
+    node_path = np.einsum_path("lij,lm,ir->jmr", arr, w_t, u_t, optimize="greedy")[0]
+    layer_path = np.einsum_path("lij,ir,js->lrs", arr, u_t, u_t, optimize="greedy")[0]
     for _ in range(cfg.iter_max):
         # node update: contract the layer mode with W and one node mode with U,
         # unfold along the remaining node mode, take top-r left vectors
-        mixed = np.einsum("lij,lm,ir->jmr", arr, w_t, u_t, optimize=True)
+        mixed = np.einsum("lij,lm,ir->jmr", arr, w_t, u_t, optimize=node_path)
         u_new = svd_top_left(mixed.reshape(n, cfg.M * cfg.r), cfg.r)
         # layer update: contract both node modes with U, unfold along layers
-        cores = np.einsum("lij,ir,js->lrs", arr, u_t, u_t, optimize=True)
+        cores = np.einsum("lij,ir,js->lrs", arr, u_t, u_t, optimize=layer_path)
         w_new = svd_top_left(cores.reshape(L, cfg.r * cfg.r), cfg.M)
         u_t = regularize_rows(u_new, _delta(cfg.delta1, u_new), cfg.r)
         w_t = regularize_rows(w_new, _delta(cfg.delta2, w_new), cfg.M)

@@ -307,6 +307,16 @@ def test_elbow_rejects_a_zero_sweep_budget(tmp_path, capsys):
     ({"replicates": 2.5}, "config field replicates: needs an integer, got '2.5'"),
     ({"kmeans_restarts": True}, "config field kmeans_restarts: needs a number, got True"),
     ({"eps_stop": -0.5}, "config field eps_stop: must be >= 0, got -0.5"),
+    ({"grid": 3}, "config field grid: needs a nonempty list of numbers, got 3"),
+    ({"grid": []}, "config field grid: needs a nonempty list of numbers, got []"),
+    ({"grid": [0.5, "x"]}, "config field grid: needs a nonempty list of numbers, got [0.5, 'x']"),
+    ({"methods": "alma"},
+     "config field methods: needs a nonempty list of names from alma, twist, got 'alma'"),
+    ({"methods": ["alma", "foo"]},
+     "config field methods: needs a nonempty list of names from alma, twist, "
+     "got ['alma', 'foo']"),
+    ({"p_max": "x"}, "config field p_max: needs a number, got 'x'"),
+    ({"alpha": None}, "config field alpha: needs a number, got None"),
 ])
 def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fields, message):
     cfg_path = tmp_path / "cfg.json"
@@ -341,6 +351,16 @@ def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fiel
     pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/bad.json"],
                  "alma scenario: error: config field threads: must be >= 1, got 0",
                  id="config-bad-field"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/grid.json"],
+                 "alma scenario: error: config field grid: "
+                 "needs a nonempty list of numbers, got 3",
+                 id="config-grid-not-a-list"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/methods.json"],
+                 "alma scenario: error: config field methods: needs a nonempty list of names "
+                 "from alma, twist, got 'alma'", id="config-methods-not-a-list"),
+    pytest.param(["scenario", "--scenario", "1", "--methods", "foo"],
+                 "alma scenario: error: --methods needs a comma list from alma,twist, got 'foo'",
+                 id="unknown-method"),
     pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/empty.json"],
                  "alma scenario: error: --config {dir}/empty.json: "
                  "Expecting value: line 1 column 1 (char 0)", id="config-not-json"),
@@ -363,6 +383,8 @@ def test_usage_errors_exit_2_with_the_command_prefix(tmp_path, capsys, argv, mes
     generate_small(tmp_path, capsys, extra=["--edge-list"])
     (tmp_path / "unknown.json").write_text(json.dumps({"banana": 1}))
     (tmp_path / "bad.json").write_text(json.dumps({"threads": 0}))
+    (tmp_path / "grid.json").write_text(json.dumps({"grid": 3}))
+    (tmp_path / "methods.json").write_text(json.dumps({"methods": "alma"}))
     (tmp_path / "empty.json").write_text("")
     (tmp_path / "number.json").write_text("3")
     err = usage_error([arg.format(dir=tmp_path) for arg in argv], capsys)

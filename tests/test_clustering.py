@@ -1,18 +1,82 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alma.clustering import (
     KmeansConfig,
     KmeansResult,
+    _plusplus_seed,
+    _reseed_empty,
     cluster_factor_pair,
     kmeans,
     within_layer_labels,
 )
 from alma.metrics import best_permutation_error
 from alma.model import assemble_ground_truth
-from alma.sampling import substream
+from alma.sampling import as_generator, substream
 from alma.tensors import Tensor3
 from conftest import make_truth
+
+
+def serial_lloyd(points, cfg, rng):
+    """One restart's Lloyd loop, as k-means ran before its restarts were batched.
+
+    Returns None once the reseed leaves a cluster empty, where this loop's
+    next center would be the NaN mean of no points.
+    """
+    n, k = points.shape[0], cfg.k
+    centers = _plusplus_seed(points, k, rng)
+    labels = np.zeros(n, dtype=np.int64)
+    prev_obj = np.inf
+    trace = []
+    obj = np.inf
+    for _ in range(cfg.max_iter):
+        dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = dist2.argmin(axis=1)
+        mindist = dist2[np.arange(n), labels]
+        for c in range(k):
+            if not np.any(labels == c):
+                far = int(mindist.argmax())
+                labels[far] = c
+                mindist[far] = 0.0
+        if np.bincount(labels, minlength=k).min() == 0:
+            return None
+        obj = float(mindist.sum())
+        trace.append(obj)
+        if prev_obj - obj <= cfg.tol * max(1.0, obj):
+            break
+        prev_obj = obj
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return KmeansResult(labels, centers, obj, trace)
+
+
+def serial_restarts(points, cfg, rng):
+    """Each restart's serial result in restart order, or None if one left a cluster empty."""
+    points = np.asarray(points, dtype=np.float64)
+    runs = [serial_lloyd(points, cfg, stream) for stream in as_generator(rng).spawn(cfg.restarts)]
+    return None if any(run is None for run in runs) else runs
+
+
+def serial_kmeans(points, cfg, rng):
+    """The lowest objective over serial restarts, the lowest index winning a tie."""
+    runs = serial_restarts(points, cfg, rng)
+    if runs is None:
+        return None
+    best = runs[0]
+    for run in runs[1:]:
+        if run.objective < best.objective:
+            best = run
+    return best
+
+
+def assert_same_bits(got, want):
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.objective == want.objective
+    assert got.trace == want.trace
 
 
 def test_kmeans_single_cluster_center_is_mean(rng):
@@ -125,3 +189,105 @@ def test_cluster_factor_pair_deterministic_given_stream():
     assert np.array_equal(a.layer_labels, b.layer_labels)
     for x, y in zip(a.node_labels, b.node_labels):
         assert np.array_equal(x, y)
+
+
+@st.composite
+def kmeans_draws(draw):
+    n = draw(st.integers(3, 150))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(n, 6)))
+    restarts = draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["normal", "grid", "duplicates"]))
+    if kind == "normal":
+        points = rng.normal(size=(n, d))
+    elif kind == "grid":
+        # three values per coordinate: many tied distances
+        points = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    else:
+        pool = rng.normal(size=(draw(st.integers(1, n)), d))
+        points = pool[rng.integers(0, pool.shape[0], size=n)]
+    return points, KmeansConfig(k=k, restarts=restarts), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(kmeans_draws())
+def test_batched_kmeans_matches_the_serial_restarts_bit_for_bit(draw):
+    points, cfg, seed = draw
+    want = serial_kmeans(points, cfg, seed)
+    if want is None:
+        return  # the serial loop left a cluster empty; see the reseed tests
+    assert_same_bits(kmeans(points, cfg, seed), want)
+
+
+@pytest.mark.parametrize("n, d, k", [
+    pytest.param(2000, 3, 3, id="many-blocks"),
+    pytest.param(60, 8, 4, id="pairwise-distance-sum"),
+    pytest.param(60, 11, 3, id="pairwise-distance-sum-with-tail"),
+    pytest.param(80, 1, 3, id="one-column"),
+])
+def test_batched_kmeans_matches_the_serial_restarts_off_the_drawn_sizes(n, d, k):
+    rng = np.random.default_rng(n + d)
+    points = 0.2 * np.eye(d)[rng.integers(0, d, size=n)] + 0.05 * rng.normal(size=(n, d))
+    cfg = KmeansConfig(k=k)
+    assert_same_bits(kmeans(points, cfg, 5), serial_kmeans(points, cfg, 5))
+
+
+def test_each_restart_stops_on_its_own_and_the_winner_keeps_its_trace():
+    rng = np.random.default_rng(3)
+    points = np.vstack([
+        rng.normal(loc=c, scale=0.6, size=(15, 2)) for c in ((0, 0), (3, 0), (0, 3), (3, 3))
+    ])
+    cfg = KmeansConfig(k=4, restarts=6)
+    runs = serial_restarts(points, cfg, 3)
+    lengths = [len(run.trace) for run in runs]
+    winner = int(np.argmin([run.objective for run in runs]))
+    assert len(set(lengths)) > 1 and lengths[winner] < max(lengths)
+    res = kmeans(points, cfg, 3)
+    assert len(res.trace) == lengths[winner]
+    assert_same_bits(res, runs[winner])
+
+
+def test_kmeans_on_identical_points_leaves_no_cluster_empty():
+    # every distance is 0, so the farthest point is always index 0
+    res = kmeans(np.zeros((6, 3)), KmeansConfig(k=3, restarts=2), 0)
+    assert res.objective == 0.0
+    assert np.bincount(res.labels, minlength=3).min() == 1
+    assert np.all(res.centers == 0.0)
+
+
+def test_reseed_does_not_empty_a_cluster_it_already_visited():
+    # the farthest point is the only member of cluster 1; cluster 2 must
+    # take the farthest point of the two-member cluster 0 instead
+    labels = np.array([0, 0, 1])
+    mindist = np.array([0.1, 0.2, 5.0])
+    counts = np.array([2, 1, 0])
+    _reseed_empty(labels, mindist, counts)
+    assert labels.tolist() == [0, 2, 1]
+    assert counts.tolist() == [1, 1, 1]
+    assert mindist.tolist() == [0.1, 0.0, 5.0]
+
+
+def test_reseed_takes_the_last_member_of_a_cluster_it_has_not_visited():
+    # cluster 0 takes the farthest point from the one-member cluster 1, which
+    # then takes its own farthest point, as before the reseed fix
+    labels = np.array([2, 2, 1, 2])
+    mindist = np.array([0.1, 0.3, 4.0, 0.2])
+    counts = np.array([0, 1, 3])
+    _reseed_empty(labels, mindist, counts)
+    assert labels.tolist() == [2, 1, 0, 2]
+    assert counts.tolist() == [1, 1, 2]
+
+
+def test_kmeans_rejects_points_without_coordinates(rng):
+    with pytest.raises(ValueError, match="at least one column"):
+        kmeans(np.zeros((4, 0)), KmeansConfig(k=2), rng)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kmeans_rejects_non_finite_points(rng, bad):
+    pts = rng.normal(size=(5, 2))
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans(pts, KmeansConfig(k=2), rng)
