@@ -53,7 +53,6 @@ from .sampling import (
 )
 from .clustering import (
     ClusteringResult,
-    KmeansConfig,
     KmeansResult,
     cluster_factor_pair,
     kmeans,
@@ -62,14 +61,13 @@ from .clustering import (
 from .metrics import (
     avg_within_error,
     best_permutation_error,
-    between_layer_error,
     confusion_matrix,
     score_result,
     within_layer_error,
 )
 from .initialization import clustering_to_w, spectral_init
 from .solver import AlmaConfig, FactorPair, alma_fit, objective, q_update, w_update
-from .twist import TwistConfig, regularize_rows, twist_fit
+from .twist import regularize_rows, twist_fit
 from .diagnostics import (
     A1Report,
     ConditionNumbers,

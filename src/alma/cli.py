@@ -58,14 +58,34 @@ def positive_int(text: str) -> int:
     return value
 
 
-def nonnegative_float(text: str) -> float:
-    """argparse type for a tolerance: a float >= 0 (0 switches a stop test off)."""
+def _number(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"needs a number, got {text!r}") from None
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse type for a tolerance: a float >= 0 (0 switches a stop test off)."""
+    value = _number(text)
     if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def edge_probability(text: str) -> float:
+    """argparse type for ``--p-max``: a float in (0, 1]."""
+    value = _number(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
+def unit_fraction(text: str) -> float:
+    """argparse type for ``--alpha``: a float in [0, 1]."""
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
 
@@ -75,8 +95,8 @@ def _add_generate(sub):
     p.add_argument("--layers", type=positive_int, default=40, help="number of layers")
     p.add_argument("--groups", type=positive_int, default=3, help="number of layer groups")
     p.add_argument("--communities", type=positive_int, default=3, help="communities per group")
-    p.add_argument("--p-max", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.9)
+    p.add_argument("--p-max", type=edge_probability, default=0.5)
+    p.add_argument("--alpha", type=unit_fraction, default=0.9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--edge-list", action="store_true", help="also write text edges")
@@ -151,6 +171,15 @@ def _check_input_dims(a, groups_flag: str, groups: int, ranks) -> None:
         raise _UsageError(f"--communities {max(ranks)} exceeds the input's {n} nodes")
 
 
+def _check_twist_rank(a, groups: int, twist_r: int) -> None:
+    """Twist's node rank must lie in [groups, nodes]."""
+    n = a.dims[1]
+    if twist_r < groups:
+        raise _UsageError(f"--twist-r {twist_r} is below --groups {groups}")
+    if twist_r > n:
+        raise _UsageError(f"--twist-r {twist_r} exceeds the input's {n} nodes")
+
+
 def _existing_file(flag: str, path: str) -> str:
     if not os.path.isfile(path):
         raise _UsageError(f"{flag} {path}: no such file")
@@ -171,6 +200,8 @@ def _cmd_fit(args) -> int:
     m = args.groups
     ranks = _parse_ranks(args.communities, m)
     _check_input_dims(a, "--groups", m, ranks)
+    if args.method == "twist":
+        _check_twist_rank(a, m, args.twist_r)
     w1 = spectral_init(a, m, substream(args.seed, 2), restarts=args.restarts)
     res, iters, converged, fit = fit_method(
         a, args.method, ranks, w1, (args.seed,),
@@ -212,8 +243,8 @@ def _add_scenario(sub):
     p.add_argument("--max-iter", type=positive_int)
     p.add_argument("--threads", type=positive_int)
     p.add_argument("--grid-points", type=positive_int, default=8)
-    p.add_argument("--p-max", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--p-max", type=edge_probability)
+    p.add_argument("--alpha", type=unit_fraction)
     p.add_argument("--n", type=positive_int)
     p.add_argument("--layers", type=positive_int)
     p.add_argument("--out", default="results")
@@ -222,6 +253,10 @@ def _add_scenario(sub):
 
 # the config file's number fields, checked as their flags are
 _CONFIG_TYPES = {
+    "n": positive_int,
+    "L": positive_int,
+    "M": positive_int,
+    "K": positive_int,
     "replicates": positive_int,
     "threads": positive_int,
     "max_iter": positive_int,
@@ -229,8 +264,8 @@ _CONFIG_TYPES = {
     "twist_r": positive_int,
     "twist_iter_max": positive_int,
     "eps_stop": nonnegative_float,
-    "p_max": float,
-    "alpha": float,
+    "p_max": edge_probability,
+    "alpha": unit_fraction,
 }
 
 
@@ -304,7 +339,10 @@ def _cmd_scenario(args) -> int:
                 f"--methods needs a comma list from {','.join(METHODS)}, got {args.methods!r}"
             )
         overrides["methods"] = tuple(names)
-    cfg = scenario_config(args.scenario, grid_points=args.grid_points, **overrides)
+    try:
+        cfg = scenario_config(args.scenario, grid_points=args.grid_points, **overrides)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     records = run_scenario(cfg)
     formats = tuple(args.emit.split(","))
     paths = emit_results(records, args.out, formats=formats, sweep_param=cfg.sweep_param)

@@ -33,20 +33,10 @@ from .tensors import Tensor3
 # a block of restarts holds at most this many n*k*d work items, so its
 # (block, n, k) temporaries stay in cache
 _BLOCK_ELEMENTS = 1 << 16
-
-
-@dataclass(frozen=True)
-class KmeansConfig:
-    k: int
-    restarts: int = 20
-    max_iter: int = 100
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.k < 1 or self.restarts < 1 or self.max_iter < 1:
-            raise ValueError("k, restarts, max_iter must all be >= 1")
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
+# Lloyd iterations per restart, and the relative fall of the objective in one
+# iteration at or below which a restart stops
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-9
 
 
 @dataclass
@@ -119,22 +109,22 @@ def _cluster_means(points, labels, counts):
     return np.stack(sums, axis=1).reshape(rows, k, d) / counts[:, :, None]
 
 
-def _batched_lloyd(points, centers, cfg):
+def _batched_lloyd(points, centers):
     """Lloyd iterations of a block of restarts from their seeds ``centers`` (R, k, d).
 
     Updates ``centers`` in place and returns each restart's labels (R, n),
-    objective (R,), trace (R, max_iter) and iteration count (R,); the trace
-    row holds the objective after each assignment step.
+    objective (R,), trace (R, KMEANS_MAX_ITER) and iteration count (R,); the
+    trace row holds the objective after each assignment step.
     """
     n = points.shape[0]
     restarts, k, _ = centers.shape
     labels = np.empty((restarts, n), dtype=np.int64)
     objective = np.empty(restarts)
-    trace = np.empty((restarts, cfg.max_iter))
+    trace = np.empty((restarts, KMEANS_MAX_ITER))
     iters = np.zeros(restarts, dtype=np.int64)
     prev = np.full(restarts, np.inf)
     active = np.arange(restarts)
-    for it in range(cfg.max_iter):
+    for it in range(KMEANS_MAX_ITER):
         dist2 = _sq_dist(points, centers[active])
         lab = dist2.argmin(axis=2)
         mindist = np.take_along_axis(dist2, lab[:, :, None], axis=2)[:, :, 0]
@@ -147,7 +137,7 @@ def _batched_lloyd(points, centers, cfg):
         objective[active] = obj
         trace[active, it] = obj
         iters[active] = it + 1
-        going = prev[active] - obj > cfg.tol * np.maximum(1.0, obj)
+        going = prev[active] - obj > KMEANS_TOL * np.maximum(1.0, obj)
         prev[active] = obj
         active = active[going]
         if not active.size:
@@ -156,26 +146,30 @@ def _batched_lloyd(points, centers, cfg):
     return labels, objective, trace, iters
 
 
-def kmeans(points: np.ndarray, cfg: KmeansConfig, rng) -> KmeansResult:
-    """Multi-restart Lloyd with k-means++ seeding.
+def kmeans(points: np.ndarray, k: int, rng, restarts: int = 20) -> KmeansResult:
+    """Multi-restart Lloyd with k-means++ seeding, into k clusters.
 
-    Returns the restart with the smallest objective; on ties the lowest
-    restart index wins. ``trace`` holds the winning restart's objective after
-    each assignment step (non-increasing).
+    Each restart runs at most ``KMEANS_MAX_ITER`` iterations and stops once
+    the objective falls by no more than ``KMEANS_TOL`` of itself. Returns
+    the restart with the smallest objective; on ties the lowest restart
+    index wins. ``trace`` holds the winning restart's objective after each
+    assignment step (non-increasing).
     """
+    if k < 1 or restarts < 1:
+        raise ValueError("k and restarts must both be >= 1")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
         raise ValueError("points must be a 2-d array with at least one column")
-    if points.shape[0] < cfg.k:
-        raise ValueError(f"need at least k={cfg.k} points, got {points.shape[0]}")
+    if points.shape[0] < k:
+        raise ValueError(f"need at least k={k} points, got {points.shape[0]}")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
     rng = as_generator(rng)
-    centers = np.stack([_plusplus_seed(points, cfg.k, s) for s in rng.spawn(cfg.restarts)])
+    centers = np.stack([_plusplus_seed(points, k, s) for s in rng.spawn(restarts)])
     n, d = points.shape
-    block = max(1, _BLOCK_ELEMENTS // (n * cfg.k * d))
-    starts = range(0, cfg.restarts, block)
-    blocks = [_batched_lloyd(points, centers[i:i + block], cfg) for i in starts]
+    block = max(1, _BLOCK_ELEMENTS // (n * k * d))
+    starts = range(0, restarts, block)
+    blocks = [_batched_lloyd(points, centers[i:i + block]) for i in starts]
     labels, objective, trace, iters = (np.concatenate(parts) for parts in zip(*blocks))
     best = int(objective.argmin())
     return KmeansResult(
@@ -184,16 +178,14 @@ def kmeans(points: np.ndarray, cfg: KmeansConfig, rng) -> KmeansResult:
     )
 
 
-def within_layer_labels(
-    affinity: np.ndarray, k: int, rng, restarts: int = 20, by_magnitude: bool = True
-) -> np.ndarray:
+def within_layer_labels(affinity: np.ndarray, k: int, rng, restarts: int = 20) -> np.ndarray:
     """Spectral clustering of one symmetric affinity slice into k communities.
 
-    Embeds nodes with the top-k eigenvectors (largest-magnitude eigenvalues by
-    default, largest-value with ``by_magnitude=False``), then k-means the rows.
+    Embeds nodes with the eigenvectors of the k largest eigenvalues (by value,
+    see :func:`cluster_factor_pair`), then k-means the rows.
     """
-    pairs = sym_eig_topk(affinity, k, by_magnitude=by_magnitude)
-    return kmeans(pairs.vectors, KmeansConfig(k=k, restarts=restarts), rng).labels
+    pairs = sym_eig_topk(affinity, k, by_magnitude=False)
+    return kmeans(pairs.vectors, k, rng, restarts).labels
 
 
 @dataclass
@@ -238,7 +230,7 @@ def cluster_factor_pair(
     if len(ranks) != m:
         raise ValueError("ranks must match the number of layer groups")
     streams = as_generator(rng).spawn(1 + m)
-    km = kmeans(w_hat, KmeansConfig(k=m, restarts=restarts), streams[0])
+    km = kmeans(w_hat, m, streams[0], restarts)
     col_of = _match_clusters_to_columns(km.centers)
     layer_labels = col_of[km.labels]
     if np.bincount(layer_labels, minlength=m).min() == 0:
@@ -247,9 +239,5 @@ def cluster_factor_pair(
     node_labels = []
     for j in range(m):
         affinity = arr[layer_labels == j].mean(axis=0)
-        node_labels.append(
-            within_layer_labels(
-                affinity, int(ranks[j]), streams[1 + j], restarts, by_magnitude=False
-            )
-        )
+        node_labels.append(within_layer_labels(affinity, int(ranks[j]), streams[1 + j], restarts))
     return ClusteringResult(layer_labels, node_labels)

@@ -27,7 +27,7 @@ from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
 from .solver import AlmaConfig, alma_fit, objective
 from .tensors import Tensor3
-from .twist import TwistConfig, twist_fit
+from .twist import twist_fit
 
 METHODS = ("alma", "twist")
 
@@ -71,6 +71,20 @@ class ScenarioConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha={self.alpha} must lie in [0, 1]")
+        # every cell is checked before any is sampled
+        for value in self.grid:
+            n, L, p_max = _sweep_params(self, value)
+            at = f"at {self.sweep_param}={value:g}"
+            if not 0.0 < p_max <= 1.0:
+                raise ValueError(f"{at}: p_max={p_max} must lie in (0, 1]")
+            if self.K > n or self.M > L:
+                raise ValueError(f"{at}: need K <= n and M <= L, got K={self.K}, n={n}, "
+                                 f"M={self.M}, L={L}")
+            if "twist" in self.methods and not self.M <= self.twist_r <= n:
+                raise ValueError(f"{at}: twist needs M <= twist_r <= n, got M={self.M}, "
+                                 f"twist_r={self.twist_r}, n={n}")
 
 
 # per-scenario fixed parameters and sweep ranges
@@ -173,8 +187,7 @@ def fit_method(
     if method != "twist":
         raise ValueError(f"unknown method {method!r}")
     u0 = sym_eig_topk(a.array.sum(axis=0), twist_r, by_magnitude=True).vectors
-    tcfg = TwistConfig(M=len(ranks), r=twist_r, iter_max=twist_iter_max)
-    _, w_hat = twist_fit(a, tcfg, u0, w_init)
+    _, w_hat = twist_fit(a, u0, w_init, iter_max=twist_iter_max)
     res = cluster_factor_pair(
         a, w_hat, ranks, substream(*seed_path, _STAGE_TWIST_CLUSTER), restarts=restarts
     )
@@ -308,7 +321,6 @@ def elbow_scan(
     master_seed: int = 0,
     eps_stop: float = 1e-4,
     max_iter: int = 100,
-    kmeans_restarts: int = 20,
 ) -> list:
     """Final fit objective for each candidate group count, one row per m in grid order.
 
@@ -335,10 +347,7 @@ def elbow_scan(
 
     def scan_one(m):
         try:
-            w1 = spectral_init(
-                a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT),
-                restarts=kmeans_restarts,
-            )
+            w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT))
             fit = alma_fit(a, (k,) * m, w1, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
             return ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used, fit.converged,
                             fit.stop_reason)

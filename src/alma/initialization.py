@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidPartitionError
-from .clustering import KmeansConfig, kmeans
+from .clustering import kmeans
 from .linalg import svd_top_left, sym_eig_topk
-from .sampling import as_generator
 from .tensors import Tensor3, mode1_matricize, mode23_product
 
 
@@ -53,5 +52,5 @@ def spectral_init(a: Tensor3, m: int, rng, restarts: int = 20) -> np.ndarray:
         embed = sym_eig_topk(gram, m, by_magnitude=True).vectors
     else:
         embed = svd_top_left(mode1_matricize(a), m)
-    labels = kmeans(embed, KmeansConfig(k=m, restarts=restarts), as_generator(rng)).labels
+    labels = kmeans(embed, m, rng, restarts).labels
     return clustering_to_w(labels, m)

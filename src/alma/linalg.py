@@ -43,6 +43,9 @@ LANCZOS_MIN_N = 250
 # 0.25 -> 211/52/38/220, 0.5 -> 255/68/48/237, 0.75 -> 380/106/72/348. Lower
 # leaves more margin to carry; too low fails and falls back more often.
 RECERTIFY_FRAC = 0.1
+# polar_project calls a matrix rank-deficient when its smallest singular value
+# is below this fraction of its largest
+RANK_TOL = 1e-10
 _EPS = np.finfo(np.float64).eps
 
 
@@ -301,17 +304,17 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.
     return (v[:, order] * w[order]) @ v[:, order].T
 
 
-def polar_project(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def polar_project(x: np.ndarray) -> np.ndarray:
     """Closest matrix with orthonormal columns, the polar factor U V^T.
 
     Raises :class:`RankDeficientError` when the smallest singular value is
-    below ``rank_tol`` times the largest (the projection is then not unique).
+    below ``RANK_TOL`` times the largest (the projection is then not unique).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < x.shape[1]:
         raise ValueError(f"expected a tall matrix, got shape {x.shape}")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[0] == 0.0 or s[-1] < rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] < RANK_TOL * s[0]:
         raise RankDeficientError(s[-1], s[0])
     return u @ vt
 

@@ -68,11 +68,6 @@ def best_permutation_error(truth, est, k: int):
     return float(rate), tuple(perm)
 
 
-def between_layer_error(truth_z, est_z, m: int) -> float:
-    """Fraction of layers misgrouped, minimized over group relabelings."""
-    return best_permutation_error(truth_z, est_z, m)[0]
-
-
 def within_layer_error(truth_g, est_g, k: int) -> float:
     """Fraction of nodes miscommunitied in one group, minimized over relabelings."""
     return best_permutation_error(truth_g, est_g, k)[0]

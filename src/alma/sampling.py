@@ -26,6 +26,9 @@ __all__ = [
     "read_edge_list",
 ]
 
+# label draws per vector before sample_instance gives up on an empty class
+MAX_RETRIES = 100
+
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent generator for an integer path under one master seed."""
@@ -40,14 +43,14 @@ def as_generator(rng) -> np.random.Generator:
     return substream(int(rng))
 
 
-def _draw_partition(rng, length, classes, max_retries, what):
+def _draw_partition(rng, length, classes, what):
     # uniform labels, resampled until every class is hit
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         labels = rng.integers(0, classes, size=length)
         if np.bincount(labels, minlength=classes).min() > 0:
             return labels.astype(np.int64)
     raise RetryExhaustedError(
-        f"{what}: no draw with all {classes} classes nonempty in {max_retries} tries"
+        f"{what}: no draw with all {classes} classes nonempty in {MAX_RETRIES} tries"
     )
 
 
@@ -59,22 +62,21 @@ def sample_instance(
     p_max: float,
     alpha: float,
     rng,
-    max_retries: int = 100,
 ) -> MmlsbmInstance:
     """Sample uniform layer groups and memberships with a planted connectivity.
 
     All M groups use K communities and the same B (p_max on the diagonal,
     alpha*p_max off it). Draws with an empty group or community are rejected,
-    up to ``max_retries`` per label vector.
+    up to ``MAX_RETRIES`` per label vector.
     """
     if M > L:
         raise ValueError(f"M={M} groups cannot exceed L={L} layers")
     if K > n:
         raise ValueError(f"K={K} communities cannot exceed n={n} nodes")
     rng = as_generator(rng)
-    z = _draw_partition(rng, L, M, max_retries, "layer labels")
+    z = _draw_partition(rng, L, M, "layer labels")
     memberships = tuple(
-        _draw_partition(rng, n, K, max_retries, f"memberships[{m}]") for m in range(M)
+        _draw_partition(rng, n, K, f"memberships[{m}]") for m in range(M)
     )
     b = planted_connectivity(K, p_max, alpha)
     return MmlsbmInstance(
@@ -104,10 +106,10 @@ def sample_adjacency(gt: GroundTruth, rng) -> Tensor3:
     return Tensor3(out)
 
 
-def sample_dataset(n, L, M, K, p_max, alpha, rng, max_retries: int = 100):
+def sample_dataset(n, L, M, K, p_max, alpha, rng):
     """Convenience: one instance, its ground truth, and one adjacency draw."""
     rng = as_generator(rng)
-    inst = sample_instance(n, L, M, K, p_max, alpha, rng, max_retries)
+    inst = sample_instance(n, L, M, K, p_max, alpha, rng)
     gt = assemble_ground_truth(inst)
     a = sample_adjacency(gt, rng)
     return inst, gt, a

@@ -73,7 +73,6 @@ class AlmaConfig:
 
     eps_stop: float = 1e-4
     max_iter: int = 100
-    rank_tol: float = 1e-10
     record_trace: bool = False
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class AlmaConfig:
             raise ValueError("eps_stop must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.rank_tol <= 0.0:
-            raise ValueError("rank_tol must be positive")
 
 
 @dataclass
@@ -210,11 +207,11 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
     return Tensor3._wrap(store)
 
 
-def w_update(a: Tensor3, q: Tensor3, rank_tol: float = 1e-10) -> np.ndarray:
+def w_update(a: Tensor3, q: Tensor3) -> np.ndarray:
     """Optimal orthonormal W for fixed Q: polar factor of the slice correlations."""
     if a.dims[1:] != q.dims[1:]:
         raise ValueError("adjacency and core slices must share node dims")
-    return polar_project(mode23_product(a, q), rank_tol=rank_tol)
+    return polar_project(mode23_product(a, q))
 
 
 def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaConfig()) -> FactorPair:
@@ -252,7 +249,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
         # the W-step, with G kept for the objective rule
         g = mode23_product(a, q)
         try:
-            w = polar_project(g, rank_tol=config.rank_tol)
+            w = polar_project(g)
         except RankDeficientError as exc:
             raise DegenerateIterateError(sweep, exc) from exc
         if config.record_trace:

@@ -54,11 +54,6 @@ class Tensor3:
         obj._store = store
         return obj
 
-    @classmethod
-    def zeros(cls, dims) -> "Tensor3":
-        d1, d2, d3 = (int(d) for d in dims)
-        return cls._wrap(np.zeros((d1, d3, d2)))
-
     @property
     def dims(self) -> tuple[int, int, int]:
         d1, d3, d2 = self._store.shape
@@ -79,11 +74,6 @@ class Tensor3:
         return self.dims == other.dims and bool(np.array_equal(self._store, other._store))
 
     __hash__ = None  # unhashable, like ndarray
-
-    def allclose(self, other: "Tensor3", atol: float = 0.0, rtol: float = 1e-12) -> bool:
-        return self.dims == other.dims and bool(
-            np.allclose(self._store, other._store, atol=atol, rtol=rtol)
-        )
 
     def __repr__(self):
         return f"Tensor3(dims={self.dims})"

@@ -268,6 +268,10 @@ def test_generate_rejects_conflicting_sizes(tmp_path, capsys, argv, message):
      "alma fit: error: --communities 40 exceeds the input's 30 nodes"),
     (["elbow", "--m-max", "3", "--communities", "40"],
      "alma elbow: error: --communities 40 exceeds the input's 30 nodes"),
+    (["fit", "--method", "twist", "--twist-r", "2", "--groups", "3", "--communities", "2"],
+     "alma fit: error: --twist-r 2 is below --groups 3"),
+    (["fit", "--method", "twist", "--twist-r", "40", "--groups", "2", "--communities", "2"],
+     "alma fit: error: --twist-r 40 exceeds the input's 30 nodes"),
 ])
 def test_sizes_beyond_the_input_fail_before_any_fit(tmp_path, capsys, monkeypatch, argv, message):
     run_cli(["generate", "--n", "30", "--layers", "6", "--groups", "2", "--communities", "2",
@@ -283,6 +287,79 @@ def test_sizes_beyond_the_input_fail_before_any_fit(tmp_path, capsys, monkeypatc
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+def test_twist_rank_is_checked_for_twist_only(tmp_path, capsys, monkeypatch):
+    # --groups 8 is above the default --twist-r 7, which alma does not use
+    run_cli(["generate", "--n", "30", "--layers", "10", "--groups", "2", "--communities", "2",
+             "--seed", "3", "--out", str(tmp_path)], capsys)
+
+    class FitStarted(Exception):
+        pass
+
+    def fit_started(*args, **kwargs):
+        raise FitStarted
+
+    monkeypatch.setattr(cli, "spectral_init", fit_started)
+    with pytest.raises(FitStarted):
+        main(["fit", "--input", str(tmp_path / "adjacency.bin"), "--groups", "8",
+              "--communities", "2"])
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    pytest.param("generate", ["--p-max", "1.5"], "argument --p-max: must lie in (0, 1], got 1.5",
+                 id="generate-p-max-above-one"),
+    pytest.param("generate", ["--p-max", "0"], "argument --p-max: must lie in (0, 1], got 0",
+                 id="generate-p-max-zero"),
+    pytest.param("generate", ["--p-max", "nan"], "argument --p-max: must lie in (0, 1], got nan",
+                 id="generate-p-max-nan"),
+    pytest.param("generate", ["--p-max", "x"], "argument --p-max: needs a number, got 'x'",
+                 id="generate-p-max-not-a-number"),
+    pytest.param("generate", ["--alpha", "-1"], "argument --alpha: must lie in [0, 1], got -1",
+                 id="generate-alpha-negative"),
+    pytest.param("generate", ["--alpha", "1.5"], "argument --alpha: must lie in [0, 1], got 1.5",
+                 id="generate-alpha-above-one"),
+    pytest.param("scenario", ["--scenario", "2", "--p-max", "1.5"],
+                 "argument --p-max: must lie in (0, 1], got 1.5", id="scenario-p-max"),
+    pytest.param("scenario", ["--scenario", "2", "--alpha", "nan"],
+                 "argument --alpha: must lie in [0, 1], got nan", id="scenario-alpha"),
+])
+def test_probabilities_out_of_range_fail_at_parse_time(tmp_path, capsys, command, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--out", str(tmp_path / "out")] + argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, fields, message", [
+    pytest.param(["--n", "2"], None,
+                 "at p_max=0.3: need K <= n and M <= L, got K=3, n=2, M=3, L=40", id="n-below-K"),
+    pytest.param(["--layers", "2"], None,
+                 "at p_max=0.3: need K <= n and M <= L, got K=3, n=100, M=3, L=2",
+                 id="layers-below-M"),
+    pytest.param(["--n", "5"], None,
+                 "at p_max=0.3: twist needs M <= twist_r <= n, got M=3, twist_r=7, n=5",
+                 id="twist-r-above-n"),
+    pytest.param([], {"twist_r": 2},
+                 "at p_max=0.3: twist needs M <= twist_r <= n, got M=3, twist_r=2, n=100",
+                 id="twist-r-below-M"),
+    pytest.param([], {"grid": [0.5, 1.5]},
+                 "at p_max=1.5: p_max=1.5 must lie in (0, 1]", id="grid-p-max-above-one"),
+])
+def test_scenario_sizes_that_conflict_fail_before_sampling(
+        tmp_path, capsys, monkeypatch, argv, fields, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    if fields is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(fields))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    err = usage_error(["scenario", "--scenario", "1", "--out", str(tmp_path / "res")] + argv,
+                      capsys)
+    assert err == f"alma scenario: error: {message}\n"
+    assert not (tmp_path / "res").exists()
 
 
 def test_fit_rejects_a_zero_community_count(tmp_path, capsys):
@@ -317,6 +394,10 @@ def test_elbow_rejects_a_zero_sweep_budget(tmp_path, capsys):
      "got ['alma', 'foo']"),
     ({"p_max": "x"}, "config field p_max: needs a number, got 'x'"),
     ({"alpha": None}, "config field alpha: needs a number, got None"),
+    ({"p_max": 1.5}, "config field p_max: must lie in (0, 1], got 1.5"),
+    ({"alpha": -0.5}, "config field alpha: must lie in [0, 1], got -0.5"),
+    ({"K": 0}, "config field K: must be >= 1, got 0"),
+    ({"n": "x"}, "config field n: needs a number, got 'x'"),
 ])
 def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fields, message):
     cfg_path = tmp_path / "cfg.json"
@@ -401,6 +482,25 @@ def test_reproduce_curves_rejects_a_count_below_one(tmp_path, flag):
     assert proc.returncode == 2
     assert f"argument {flag}: must be >= 1, got 0" in proc.stderr
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--seeds", "1,x"], "needs a comma list of integers, got '1,x'", id="bad-seeds"),
+    pytest.param(["--src", "{dir}"], "no alma package there", id="bad-src"),
+    pytest.param([], "is not empty", id="out-not-empty"),
+])
+def test_output_digest_rejects_bad_arguments_before_running(tmp_path, argv, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "old.csv").write_text("")
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "out")]
+        + [arg.format(dir=tmp_path) for arg in argv],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["old.csv"]
 
 
 @pytest.mark.parametrize("value, message", [

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alma.clustering import (
-    KmeansConfig,
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
     KmeansResult,
     _plusplus_seed,
     _reseed_empty,
@@ -19,19 +20,19 @@ from alma.tensors import Tensor3
 from conftest import make_truth
 
 
-def serial_lloyd(points, cfg, rng):
+def serial_lloyd(points, k, rng):
     """One restart's Lloyd loop, as k-means ran before its restarts were batched.
 
     Returns None once the reseed leaves a cluster empty, where this loop's
     next center would be the NaN mean of no points.
     """
-    n, k = points.shape[0], cfg.k
+    n = points.shape[0]
     centers = _plusplus_seed(points, k, rng)
     labels = np.zeros(n, dtype=np.int64)
     prev_obj = np.inf
     trace = []
     obj = np.inf
-    for _ in range(cfg.max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = dist2.argmin(axis=1)
         mindist = dist2[np.arange(n), labels]
@@ -44,7 +45,7 @@ def serial_lloyd(points, cfg, rng):
             return None
         obj = float(mindist.sum())
         trace.append(obj)
-        if prev_obj - obj <= cfg.tol * max(1.0, obj):
+        if prev_obj - obj <= KMEANS_TOL * max(1.0, obj):
             break
         prev_obj = obj
         for c in range(k):
@@ -52,16 +53,16 @@ def serial_lloyd(points, cfg, rng):
     return KmeansResult(labels, centers, obj, trace)
 
 
-def serial_restarts(points, cfg, rng):
+def serial_restarts(points, k, restarts, rng):
     """Each restart's serial result in restart order, or None if one left a cluster empty."""
     points = np.asarray(points, dtype=np.float64)
-    runs = [serial_lloyd(points, cfg, stream) for stream in as_generator(rng).spawn(cfg.restarts)]
+    runs = [serial_lloyd(points, k, stream) for stream in as_generator(rng).spawn(restarts)]
     return None if any(run is None for run in runs) else runs
 
 
-def serial_kmeans(points, cfg, rng):
+def serial_kmeans(points, k, restarts, rng):
     """The lowest objective over serial restarts, the lowest index winning a tie."""
-    runs = serial_restarts(points, cfg, rng)
+    runs = serial_restarts(points, k, restarts, rng)
     if runs is None:
         return None
     best = runs[0]
@@ -81,21 +82,21 @@ def assert_same_bits(got, want):
 
 def test_kmeans_single_cluster_center_is_mean(rng):
     pts = rng.normal(size=(10, 3))
-    res = kmeans(pts, KmeansConfig(k=1, restarts=1), rng)
+    res = kmeans(pts, 1, rng, restarts=1)
     assert np.allclose(res.centers[0], pts.mean(axis=0))
     assert np.all(res.labels == 0)
 
 
 def test_kmeans_k_equals_points(rng):
     pts = np.array([[0.0], [5.0], [10.0]])
-    res = kmeans(pts, KmeansConfig(k=3, restarts=5), rng)
+    res = kmeans(pts, 3, rng, restarts=5)
     assert sorted(res.labels.tolist()) == [0, 1, 2]
     assert res.objective <= 1e-12
 
 
 def test_kmeans_trace_non_increasing(rng):
     pts = rng.normal(size=(40, 2))
-    res = kmeans(pts, KmeansConfig(k=4, restarts=3), rng)
+    res = kmeans(pts, 4, rng, restarts=3)
     trace = np.array(res.trace)
     assert np.all(np.diff(trace) <= 1e-12)
 
@@ -106,15 +107,15 @@ def test_kmeans_separated_blobs_exact(rng):
         rng.normal(loc=10.0, scale=0.05, size=(12, 2)),
     ])
     truth = np.repeat([0, 1], 12)
-    res = kmeans(pts, KmeansConfig(k=2, restarts=10), rng)
+    res = kmeans(pts, 2, rng, restarts=10)
     rate, _ = best_permutation_error(truth, res.labels, 2)
     assert rate == 0.0
 
 
 def test_kmeans_restarts_never_hurt(rng):
     pts = np.random.default_rng(8).normal(size=(30, 2))
-    one = kmeans(pts, KmeansConfig(k=5, restarts=1), np.random.default_rng(0))
-    many = kmeans(pts, KmeansConfig(k=5, restarts=25), np.random.default_rng(0))
+    one = kmeans(pts, 5, np.random.default_rng(0), restarts=1)
+    many = kmeans(pts, 5, np.random.default_rng(0), restarts=25)
     assert many.objective <= one.objective + 1e-12
 
 
@@ -122,18 +123,24 @@ def test_kmeans_fills_empty_clusters(rng):
     # duplicate points force ties; every requested cluster still gets a member
     pts = np.zeros((6, 2))
     pts[5] = [9.0, 9.0]
-    res = kmeans(pts, KmeansConfig(k=3, restarts=4), rng)
+    res = kmeans(pts, 3, rng, restarts=4)
     assert np.bincount(res.labels, minlength=3).min() >= 1
 
 
 def test_kmeans_rejects_too_few_points(rng):
     with pytest.raises(ValueError):
-        kmeans(np.zeros((2, 2)), KmeansConfig(k=3), rng)
+        kmeans(np.zeros((2, 2)), 3, rng)
+
+
+@pytest.mark.parametrize("k, restarts", [(0, 20), (2, 0)])
+def test_kmeans_rejects_a_zero_count(rng, k, restarts):
+    with pytest.raises(ValueError, match="k and restarts"):
+        kmeans(np.zeros((4, 2)), k, rng, restarts)
 
 
 def test_between_layer_labels_exact_on_true_factor():
     inst, gt = make_truth(3, n=20, L=15, m=3, k=2)
-    labels = kmeans(gt.w_star, KmeansConfig(k=3), substream(3, 5)).labels
+    labels = kmeans(gt.w_star, 3, substream(3, 5)).labels
     rate, _ = best_permutation_error(inst.layer_labels, labels, 3)
     assert rate == 0.0
 
@@ -141,18 +148,16 @@ def test_between_layer_labels_exact_on_true_factor():
 def test_between_layer_labels_stable_under_small_noise():
     inst, gt = make_truth(4, n=20, L=15, m=3, k=2)
     w = gt.w_star + 1e-6 * np.random.default_rng(0).normal(size=gt.w_star.shape)
-    labels = kmeans(w, KmeansConfig(k=3), substream(4, 5)).labels
+    labels = kmeans(w, 3, substream(4, 5)).labels
     rate, _ = best_permutation_error(inst.layer_labels, labels, 3)
     assert rate == 0.0
 
 
-def test_within_layer_labels_exact_noiseless_both_orderings():
+def test_within_layer_labels_exact_noiseless():
     inst, gt = make_truth(6, n=24, L=10, m=1, k=3, p_max=0.8, alpha=0.5)
-    affinity = np.array(gt.p_star.slice(0))
-    for flag in (True, False):
-        labels = within_layer_labels(affinity, 3, substream(6, 7), by_magnitude=flag)
-        rate, _ = best_permutation_error(inst.memberships[0], labels, 3)
-        assert rate == 0.0
+    labels = within_layer_labels(np.array(gt.p_star.slice(0)), 3, substream(6, 7))
+    rate, _ = best_permutation_error(inst.memberships[0], labels, 3)
+    assert rate == 0.0
 
 
 def test_cluster_factor_pair_exact_on_truth():
@@ -208,17 +213,17 @@ def kmeans_draws(draw):
     else:
         pool = rng.normal(size=(draw(st.integers(1, n)), d))
         points = pool[rng.integers(0, pool.shape[0], size=n)]
-    return points, KmeansConfig(k=k, restarts=restarts), seed
+    return points, k, restarts, seed
 
 
 @settings(max_examples=150, deadline=None)
 @given(kmeans_draws())
 def test_batched_kmeans_matches_the_serial_restarts_bit_for_bit(draw):
-    points, cfg, seed = draw
-    want = serial_kmeans(points, cfg, seed)
+    points, k, restarts, seed = draw
+    want = serial_kmeans(points, k, restarts, seed)
     if want is None:
         return  # the serial loop left a cluster empty; see the reseed tests
-    assert_same_bits(kmeans(points, cfg, seed), want)
+    assert_same_bits(kmeans(points, k, seed, restarts), want)
 
 
 @pytest.mark.parametrize("n, d, k", [
@@ -230,8 +235,7 @@ def test_batched_kmeans_matches_the_serial_restarts_bit_for_bit(draw):
 def test_batched_kmeans_matches_the_serial_restarts_off_the_drawn_sizes(n, d, k):
     rng = np.random.default_rng(n + d)
     points = 0.2 * np.eye(d)[rng.integers(0, d, size=n)] + 0.05 * rng.normal(size=(n, d))
-    cfg = KmeansConfig(k=k)
-    assert_same_bits(kmeans(points, cfg, 5), serial_kmeans(points, cfg, 5))
+    assert_same_bits(kmeans(points, k, 5), serial_kmeans(points, k, 20, 5))
 
 
 def test_each_restart_stops_on_its_own_and_the_winner_keeps_its_trace():
@@ -239,19 +243,18 @@ def test_each_restart_stops_on_its_own_and_the_winner_keeps_its_trace():
     points = np.vstack([
         rng.normal(loc=c, scale=0.6, size=(15, 2)) for c in ((0, 0), (3, 0), (0, 3), (3, 3))
     ])
-    cfg = KmeansConfig(k=4, restarts=6)
-    runs = serial_restarts(points, cfg, 3)
+    runs = serial_restarts(points, 4, 6, 3)
     lengths = [len(run.trace) for run in runs]
     winner = int(np.argmin([run.objective for run in runs]))
     assert len(set(lengths)) > 1 and lengths[winner] < max(lengths)
-    res = kmeans(points, cfg, 3)
+    res = kmeans(points, 4, 3, restarts=6)
     assert len(res.trace) == lengths[winner]
     assert_same_bits(res, runs[winner])
 
 
 def test_kmeans_on_identical_points_leaves_no_cluster_empty():
     # every distance is 0, so the farthest point is always index 0
-    res = kmeans(np.zeros((6, 3)), KmeansConfig(k=3, restarts=2), 0)
+    res = kmeans(np.zeros((6, 3)), 3, 0, restarts=2)
     assert res.objective == 0.0
     assert np.bincount(res.labels, minlength=3).min() == 1
     assert np.all(res.centers == 0.0)
@@ -282,7 +285,7 @@ def test_reseed_takes_the_last_member_of_a_cluster_it_has_not_visited():
 
 def test_kmeans_rejects_points_without_coordinates(rng):
     with pytest.raises(ValueError, match="at least one column"):
-        kmeans(np.zeros((4, 0)), KmeansConfig(k=2), rng)
+        kmeans(np.zeros((4, 0)), 2, rng)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -290,4 +293,4 @@ def test_kmeans_rejects_non_finite_points(rng, bad):
     pts = rng.normal(size=(5, 2))
     pts[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        kmeans(pts, KmeansConfig(k=2), rng)
+        kmeans(pts, 2, rng)

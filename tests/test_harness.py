@@ -72,6 +72,17 @@ def test_scenario_config_rejects_bad_input():
         scenario_config(1, nope=3)
 
 
+def test_scenario_config_checks_every_grid_point():
+    # scenario 2 sweeps n from 30 up, so K and twist_r are checked at n=30
+    with pytest.raises(ValueError, match="at n=30: need K <= n"):
+        scenario_config(2, K=31)
+    with pytest.raises(ValueError, match="at n=30: twist needs M <= twist_r <= n"):
+        scenario_config(2, twist_r=31)
+    scenario_config(2, twist_r=31, methods=("alma",))  # twist_r only binds twist
+    with pytest.raises(ValueError, match="alpha=1.5 must lie in"):
+        scenario_config(1, alpha=1.5)
+
+
 def test_run_single_is_deterministic():
     cfg = tiny_cfg()
     a = run_single(cfg, 0, 0)
@@ -260,7 +271,7 @@ def elbow_table(rows):
 
 
 def scan(a, grid=(1, 2, 3, 4)):
-    return elbow_scan(a, grid, 2, master_seed=5, eps_stop=0.0, max_iter=15, kmeans_restarts=3)
+    return elbow_scan(a, grid, 2, master_seed=5, eps_stop=0.0, max_iter=15)
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ from alma.errors import InvalidPartitionError
 from alma.metrics import (
     avg_within_error,
     best_permutation_error,
-    between_layer_error,
     confusion_matrix,
     score_result,
     within_layer_error,
@@ -102,9 +101,9 @@ def test_rate_range(seed):
 
 def test_layer_and_node_wrappers():
     truth = np.array([0, 1, 0, 1])
-    assert between_layer_error(truth, truth, 2) == 0.0
+    assert within_layer_error(truth, truth, 2) == 0.0
     assert within_layer_error(truth, 1 - truth, 2) == 0.0
-    assert between_layer_error(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), 2) == 0.5
+    assert within_layer_error(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), 2) == 0.5
 
 
 def test_avg_within_error():

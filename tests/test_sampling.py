@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alma import sampling
 from alma.errors import RetryExhaustedError
 from alma.sampling import (
+    MAX_RETRIES,
     as_generator,
     read_edge_list,
     sample_adjacency,
@@ -55,10 +56,10 @@ def test_sample_instance_rejects_impossible_shapes():
 
 
 def test_retry_exhaustion_on_tiny_draws():
-    # 2 layers over 2 groups misses a group half the time; this seed's first
-    # draw misses and the single retry is spent
-    with pytest.raises(RetryExhaustedError):
-        sample_instance(4, 2, 2, 2, 0.5, 0.5, substream(0), max_retries=1)
+    # 60 layers over 60 groups, one layer per group: a draw hits every group
+    # with probability 60!/60^60, so all MAX_RETRIES tries miss
+    with pytest.raises(RetryExhaustedError, match=f"in {MAX_RETRIES} tries"):
+        sample_instance(60, 60, 60, 1, 0.5, 0.5, substream(0))
 
 
 def test_adjacency_is_symmetric_binary_hollow():

@@ -34,8 +34,6 @@ def test_config_validation():
         AlmaConfig(eps_stop=-1.0)
     with pytest.raises(ValueError):
         AlmaConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        AlmaConfig(rank_tol=0.0)
 
 
 def test_objective_zero_on_exact_factorization():

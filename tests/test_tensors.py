@@ -70,7 +70,7 @@ def test_from_slices_matches_constructor():
 
 
 def test_zeros_and_equality():
-    z = Tensor3.zeros((2, 3, 3))
+    z = Tensor3(np.zeros((2, 3, 3)))
     assert z.dims == (2, 3, 3)
     assert frobenius_norm(z) == 0.0
     assert z == Tensor3(np.zeros((2, 3, 3)))
@@ -79,14 +79,7 @@ def test_zeros_and_equality():
 
 def test_tensor_not_hashable():
     with pytest.raises(TypeError):
-        hash(Tensor3.zeros((1, 1, 1)))
-
-
-def test_allclose_tolerance():
-    a = Tensor3(np.ones((1, 2, 2)))
-    b = Tensor3(np.ones((1, 2, 2)) + 1e-13)
-    assert a.allclose(b)
-    assert not a.allclose(Tensor3(np.ones((1, 2, 2)) * 2), rtol=1e-6)
+        hash(Tensor3(np.zeros((1, 1, 1))))
 
 
 @settings(max_examples=40, deadline=None)

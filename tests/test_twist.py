@@ -6,14 +6,14 @@ from alma.initialization import spectral_init
 from alma.linalg import sym_eig_topk
 from alma.metrics import score_result
 from alma.sampling import substream
-from alma.twist import TwistConfig, regularize_rows, twist_fit
+from alma.twist import regularize_rows, twist_fit
 from conftest import make_noisy, make_truth
 
 
-def default_inits(a, cfg, rng):
+def default_inits(a, m, r, rng):
     # the warm starts fit_method uses: layer-sum eigenvectors for U, spectral init for W
-    u0 = sym_eig_topk(a.array.sum(axis=0), cfg.r, by_magnitude=True).vectors
-    return u0, spectral_init(a, cfg.M, rng)
+    u0 = sym_eig_topk(a.array.sum(axis=0), r, by_magnitude=True).vectors
+    return u0, spectral_init(a, m, rng)
 
 
 def fit_twist(a, ranks, r, iter_max, seed):
@@ -26,17 +26,20 @@ def fit_twist(a, ranks, r, iter_max, seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TwistConfig(M=2, r=1)
-    with pytest.raises(ValueError):
-        TwistConfig(M=0, r=3)
-    with pytest.raises(ValueError):
-        TwistConfig(M=2, r=3, iter_max=-1)
-    with pytest.raises(ValueError):
-        TwistConfig(M=2, r=3, delta1=0.0)
-    with pytest.raises(ValueError):
-        TwistConfig(M=2, r=3, delta2="big")
-    TwistConfig(M=2, r=3, delta1="auto", iter_max=0)  # fine
+    # M and r are the init factors' column counts: 1 <= M <= r <= n, M <= L
+    _, _, a = make_noisy(65, n=6, L=3, m=2, k=2)
+    u, w = np.eye(6), np.eye(3)
+    with pytest.raises(ValueError, match="M <= r"):
+        twist_fit(a, u[:, :1], w[:, :2])
+    with pytest.raises(ValueError, match="1 <= M"):
+        twist_fit(a, u[:, :3], w[:, :0])
+    with pytest.raises(ValueError, match="r <= n"):
+        twist_fit(a, np.eye(6, 7), w[:, :2])
+    with pytest.raises(ValueError, match="M <= L"):
+        twist_fit(a, u[:, :5], np.eye(3, 4))
+    with pytest.raises(ValueError, match="iter_max"):
+        twist_fit(a, u[:, :3], w[:, :2], iter_max=-1)
+    twist_fit(a, u[:, :3], w[:, :2], iter_max=0)  # fine
 
 
 def test_regularize_rows_orthonormal_output(rng):
@@ -73,9 +76,8 @@ def test_regularize_rows_validation(rng):
 
 def test_twist_fit_shapes_and_orthonormality():
     _, _, a = make_noisy(61, n=18, L=10, m=2, k=2)
-    cfg = TwistConfig(M=2, r=5, iter_max=10)
-    u0, w0 = default_inits(a, cfg, substream(61, 2))
-    u, w = twist_fit(a, cfg, u0, w0)
+    u0, w0 = default_inits(a, 2, 5, substream(61, 2))
+    u, w = twist_fit(a, u0, w0, iter_max=10)
     assert u.shape == (18, 5)
     assert w.shape == (10, 2)
     assert np.allclose(u.T @ u, np.eye(5), atol=1e-10)
@@ -84,9 +86,8 @@ def test_twist_fit_shapes_and_orthonormality():
 
 def test_twist_fit_zero_sweeps_returns_regularized_inits():
     _, _, a = make_noisy(62, n=12, L=8, m=2, k=2)
-    cfg = TwistConfig(M=2, r=4, iter_max=0)
-    u0, w0 = default_inits(a, cfg, substream(62, 2))
-    u, w = twist_fit(a, cfg, u0, w0)
+    u0, w0 = default_inits(a, 2, 4, substream(62, 2))
+    u, w = twist_fit(a, u0, w0, iter_max=0)
     d1 = 2.0 * np.linalg.norm(u0, axis=1).mean()
     d2 = 2.0 * np.linalg.norm(w0, axis=1).mean()
     assert np.allclose(u, regularize_rows(u0, d1, 4))
@@ -95,14 +96,13 @@ def test_twist_fit_zero_sweeps_returns_regularized_inits():
 
 def test_twist_fit_validates_shapes():
     _, _, a = make_noisy(63, n=10, L=6, m=2, k=2)
-    cfg = TwistConfig(M=2, r=4, iter_max=2)
-    u0, w0 = default_inits(a, cfg, substream(63, 2))
-    with pytest.raises(ValueError):
-        twist_fit(a, cfg, u0[:5], w0)
-    with pytest.raises(ValueError):
-        twist_fit(a, cfg, u0, w0[:, :1])
-    with pytest.raises(ValueError):
-        twist_fit(a, TwistConfig(M=2, r=11), u0, w0)
+    u0, w0 = default_inits(a, 2, 4, substream(63, 2))
+    with pytest.raises(ValueError, match="u_init"):
+        twist_fit(a, u0[:5], w0, iter_max=2)
+    with pytest.raises(ValueError, match="w_init"):
+        twist_fit(a, u0, w0[:5], iter_max=2)
+    with pytest.raises(ValueError, match="u_init"):
+        twist_fit(a, u0[:, 0], w0, iter_max=2)
 
 
 def test_twist_pipeline_noiseless_exact():
