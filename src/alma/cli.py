@@ -47,14 +47,26 @@ class _UsageError(Exception):
     does for a bad value."""
 
 
-def positive_int(text: str) -> int:
-    """argparse type for a count: an integer >= 1."""
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a count: an integer >= 1."""
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def seed_int(text: str) -> int:
+    """argparse type for a seed: an integer >= 0, as numpy's SeedSequence takes."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -97,7 +109,7 @@ def _add_generate(sub):
     p.add_argument("--communities", type=positive_int, default=3, help="communities per group")
     p.add_argument("--p-max", type=edge_probability, default=0.5)
     p.add_argument("--alpha", type=unit_fraction, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--edge-list", action="store_true", help="also write text edges")
 
@@ -144,7 +156,7 @@ def _add_fit(sub):
     p.add_argument("--restarts", type=positive_int, default=20)
     p.add_argument("--twist-r", type=positive_int, default=7)
     p.add_argument("--twist-iters", type=positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--out", help="write fit.json here instead of stdout")
 
 
@@ -237,7 +249,7 @@ def _add_scenario(sub):
     p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--config", help="JSON file with ScenarioConfig overrides")
     p.add_argument("--replicates", type=positive_int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed_int)
     p.add_argument("--methods", help="comma list from: alma,twist")
     p.add_argument("--eps", type=nonnegative_float)
     p.add_argument("--max-iter", type=positive_int)
@@ -263,6 +275,7 @@ _CONFIG_TYPES = {
     "kmeans_restarts": positive_int,
     "twist_r": positive_int,
     "twist_iter_max": positive_int,
+    "master_seed": seed_int,
     "eps_stop": nonnegative_float,
     "p_max": edge_probability,
     "alpha": unit_fraction,
@@ -362,7 +375,7 @@ def _add_elbow(sub):
     p.add_argument("--communities", type=positive_int, required=True)
     p.add_argument("--eps", type=nonnegative_float, default=1e-4)
     p.add_argument("--max-iter", type=positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.add_argument("--out", help="also write elbow.csv here")
 
 

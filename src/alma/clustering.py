@@ -57,7 +57,10 @@ def _plusplus_seed(points, k, rng):
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            # the draw rng.choice(n, p=d2 / total) makes, without its checks
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = points[idx]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers

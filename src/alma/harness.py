@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -299,21 +299,6 @@ class ElbowRow:
     stop_reason: str
 
 
-def _usable_cpus() -> int:
-    # reached only where the pin exists, i.e. on Linux
-    return len(os.sched_getaffinity(0))
-
-
-def _elbow_workers(m_grid) -> int:
-    """Threads :func:`elbow_scan` fits its candidates on; 0 runs the serial loop.
-
-    Each worker needs the BLAS pin, so that it runs one BLAS thread.
-    """
-    if pin_blas_threads is None:
-        return 0
-    return min(len(m_grid), _usable_cpus())
-
-
 def elbow_scan(
     a: Tensor3,
     m_grid,
@@ -330,13 +315,10 @@ def elbow_scan(
     typical for m above the true group count on clean data) is recorded as a
     NaN row rather than dropped. Every m is checked before any fit starts.
 
-    Each candidate's spectral init, fit and objective run on a thread pool of
-    up to one worker per usable CPU, largest m first, with every worker (and
-    the caller while it waits) on one BLAS thread; the caller's thread count
-    is restored on return. A fit runs on one BLAS thread however many workers
-    there are, so the rows do not depend on the CPU count. Where BLAS cannot
-    be pinned, the candidates run one after another on the calling thread
-    instead.
+    The candidates are fitted one after another on the calling thread, with
+    its BLAS thread count left as it is. A thread pool would not overlap
+    them: the dense Q-step runs in scipy's LAPACK wrappers, which hold the
+    GIL.
     """
     L = a.dims[0]
     grid = [int(m) for m in m_grid]
@@ -344,28 +326,16 @@ def elbow_scan(
         if not 1 <= m <= L:
             raise ValueError(f"candidate m={m} out of range for L={L}")
     k = int(k)
-
-    def scan_one(m):
+    rows = []
+    for m in grid:
         try:
             w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT))
             fit = alma_fit(a, (k,) * m, w1, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
-            return ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used, fit.converged,
-                            fit.stop_reason)
+            rows.append(ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used,
+                                 fit.converged, fit.stop_reason))
         except EstimationError as exc:
-            return ElbowRow(m, float("nan"), 0, False, _failure_reason(exc))
-
-    workers = _elbow_workers(grid)
-    if not workers:
-        return [scan_one(m) for m in grid]
-    caller_threads = pin_blas_threads()
-    try:
-        with ThreadPoolExecutor(workers, initializer=pin_blas_threads) as pool:
-            # fit cost grows with m, so the largest candidates start first
-            futures = {i: pool.submit(scan_one, grid[i])
-                       for i in sorted(range(len(grid)), key=lambda i: -grid[i])}
-            return [futures[i].result() for i in range(len(grid))]
-    finally:
-        pin_blas_threads(caller_threads)
+            rows.append(ElbowRow(m, float("nan"), 0, False, _failure_reason(exc)))
+    return rows
 
 
 CSV_COLUMNS = (
@@ -525,8 +495,6 @@ def write_curves_svg(records, path, sweep_param: str) -> None:
 
 def emit_results(records, out_dir, formats=("csv",), sweep_param: str = "") -> dict:
     """Write runs.csv / summary.csv and optionally curves.svg; returns paths."""
-    import os
-
     unknown = set(formats) - {"csv", "svg"}
     if unknown:
         raise ValueError(f"unknown emit formats: {sorted(unknown)}")

@@ -6,18 +6,29 @@ so that its largest-magnitude coordinate is positive (lowest index wins a
 tie). Given equal inputs the outputs are bit-identical, which is what the
 reproducibility contract of the harness leans on.
 
-:func:`rank_project` can take a warm start, a :class:`Certificate` that holds
-a Lanczos start vector. From ``LANCZOS_MIN_N`` nodes up it then asks ARPACK's
-Lanczos for the top-k pairs and keeps them only after an exact certificate
-(two Cholesky factorizations) proves no other eigenvalue is as large in
-magnitude; otherwise, and below the crossover, it runs the full dense
-``eigh``. The :class:`Certificate` carries the last proof to the next,
-nearby slice, so that most warm calls keep their Lanczos pairs with no
+:func:`rank_project` finds only the eigenpairs it keeps. Its dense kernel
+tridiagonalizes once (LAPACK ``dsytrd``), takes the k lowest and k highest
+eigenpairs of the tridiagonal by MRRR (``dstemr``; k+1 at each end from
+``LANCZOS_MIN_N`` nodes up, where the certificate needs |lambda_{k+1}|),
+picks the k largest in magnitude by the same stable rule as
+:func:`sym_eig_topk`, and back-transforms only those k vectors
+(``dormqr``), all on one thread of the OpenBLAS that scipy bundles apart
+from numpy's. scipy's LAPACK wrappers hold the GIL, so threads do not
+overlap the dense kernel.
+
+:func:`rank_project` can also take a warm start, a :class:`Certificate` that
+holds a Lanczos start vector. From ``LANCZOS_MIN_N`` nodes up it then asks
+ARPACK's Lanczos for the top-k pairs and keeps them only after an exact
+certificate (two Cholesky factorizations) proves no other eigenvalue is as
+large in magnitude; otherwise, and below the crossover, it runs the dense
+kernel. The :class:`Certificate` carries the last proof to the next, nearby
+slice, so that most warm calls keep their Lanczos pairs with no
 factorization at all.
 
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
-so concurrent callers can each run single-threaded BLAS instead of sharing
-one pool; it is None when numpy does not bundle an OpenBLAS that has it.
+so concurrent worker processes can each run single-threaded BLAS instead of
+oversubscribing the cores; it is None when numpy does not bundle an OpenBLAS
+that has it.
 """
 
 from __future__ import annotations
@@ -25,10 +36,15 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
 import warnings
+from contextlib import contextmanager
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy
+from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import RankDeficientError
@@ -49,9 +65,11 @@ RANK_TOL = 1e-10
 _EPS = np.finfo(np.float64).eps
 
 
-def _bind_openblas_threads_local():
-    # from OpenBLAS 0.3.27 on; numpy's wheels ship it as numpy.libs/libscipy_openblas*
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+def _bind_openblas_threads_local(package):
+    # from OpenBLAS 0.3.27 on; numpy's and scipy's wheels each bundle their
+    # own, as <package>.libs/libscipy_openblas*
+    site = os.path.dirname(os.path.dirname(package.__file__))
+    libs = os.path.join(site, package.__name__ + ".libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
         try:
             setter = ctypes.CDLL(path).openblas_set_num_threads_local
@@ -63,7 +81,10 @@ def _bind_openblas_threads_local():
     return None
 
 
-_openblas_threads_local = _bind_openblas_threads_local()
+_openblas_threads_local = _bind_openblas_threads_local(np)
+# scipy's LAPACK wrappers run on scipy's OpenBLAS, which has a thread pool of its own
+_scipy_openblas_threads_local = _bind_openblas_threads_local(scipy)
+_scipy_blas_lock = threading.Lock()
 
 
 def _pin_blas_threads(count: int = 1) -> int:
@@ -120,6 +141,8 @@ def sym_eig_topk(a: np.ndarray, k: int, by_magnitude: bool = True) -> EigPairs:
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
+    # the full eigh, not rank_project's kernel: twist starts from these
+    # vectors, and its labels move after a start perturbation of about 1e-14
     w, v = np.linalg.eigh(a)
     key = -np.abs(w) if by_magnitude else -w
     order = np.argsort(key, kind="stable")[:k]
@@ -271,12 +294,85 @@ def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
     return None
 
 
+@contextmanager
+def _scipy_blas_on_one_thread():
+    """Run scipy's OpenBLAS on one thread inside the block, then put its count back.
+
+    Its pool contends with numpy's: right after a numpy BLAS call, a blocked
+    ``dsytrd`` at n=100 took 3.0 ms on scipy's default two threads and 0.17
+    ms on one. The lock keeps concurrent callers from restoring each other's
+    counts.
+    """
+    if _scipy_openblas_threads_local is None:
+        yield
+        return
+    with _scipy_blas_lock:
+        found = _scipy_openblas_threads_local(1)
+        try:
+            yield
+        finally:
+            _scipy_openblas_threads_local(found)
+
+
+@lru_cache(maxsize=64)
+def _sytrd_lwork(n: int) -> int:
+    work, info = lapack.dsytrd_lwork(n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsytrd_lwork failed with info={info}")
+    return max(int(work), n)
+
+
+def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False):
+    """The k largest-magnitude eigenpairs of ``a``, for 1 <= k < n.
+
+    Returns ``(values, vectors, below)``. The pairs come in decreasing
+    |eigenvalue|, and of -lambda and lambda the first is -lambda, as a stable
+    sort of a full ``eigh``'s spectrum gives them. ``below`` is
+    |lambda_{k+1}| when ``with_below``, else None. ``a`` is tridiagonalized
+    once, T = Q^T A Q; MRRR finds T's j lowest and j highest eigenpairs (all
+    n when those overlap), among which are the j largest in magnitude, for
+    j = k, or k+1 with ``below``; and only the k kept vectors are multiplied
+    by Q. Raises ``LinAlgError`` when a LAPACK routine fails or finds fewer
+    pairs than asked for, as on a non-finite ``a``.
+    """
+    n = a.shape[0]
+    j = k + 1 if with_below else k
+    ends = ((1, j), (n - j + 1, n)) if 2 * j < n else ((1, n),)
+    with _scipy_blas_on_one_thread():
+        # a is symmetric, so its transpose is the same matrix in Fortran order
+        c, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=_sytrd_lwork(n))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsytrd failed with info={info}")
+        values, vectors = [], []
+        for lo, hi in ends:  # pairs lo..hi of T, counted from 1 in ascending order
+            off = np.empty(n)  # dstemr wants n entries and overwrites them
+            off[:-1] = e
+            found, w, z, info = lapack.dstemr(d, off, 2, 0.0, 0.0, lo, hi)
+            if info != 0 or found != hi - lo + 1:
+                raise np.linalg.LinAlgError(
+                    f"dstemr found {found} of eigenpairs {lo}..{hi} with info={info}")
+            values.append(w[:found])
+            vectors.append(z[:, :found])
+        w = np.concatenate(values)
+        order = np.argsort(-np.abs(w), kind="stable")
+        keep = order[:k]
+        z = np.asfortranarray(np.concatenate(vectors, axis=1)[:, keep])
+        # Q = H(1)...H(n-1) leaves the first coordinate alone; its reflectors
+        # sit below the subdiagonal, laid out as a QR factor of the trailing block
+        qz, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], 64 * k, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+    z[1:] = qz
+    return w[keep], z, float(abs(w[order[k]])) if with_below else None
+
+
 def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.ndarray:
     """Frobenius-nearest symmetric matrix of rank <= k.
 
-    Keeps the k largest-magnitude eigenvalues. ``k >= n`` is the identity
-    projection; ``k > n`` additionally emits a warning. ``start`` is an
-    optional :class:`Certificate`: it holds the Lanczos start vector (see
+    Keeps the k largest-magnitude eigenvalues; of -lambda and lambda tied at
+    the cut it keeps -lambda, as :func:`sym_eig_topk` does. ``k >= n`` is the
+    identity projection; ``k > n`` additionally emits a warning. ``start`` is
+    an optional :class:`Certificate`: it holds the Lanczos start vector (see
     :func:`warm_start`) and carries the proof from the previous call on a
     nearby matrix, and is refreshed in place. It changes only how the
     eigenpairs are found, and is ignored below ``LANCZOS_MIN_N``.
@@ -294,14 +390,14 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.
         low = _certified_topk(a, k, start)
         if low is not None:
             return low
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(w), kind="stable")
+    # from the crossover up every dense call finds |lambda_{k+1}|, so that a
+    # Lanczos fallback returns the same bits as a call without a start
+    w, v, below = _kept_pairs(a, k, with_below=_lanczos_applies(n, k))
     if lanczos:
-        # the full spectrum proves the tightest tau there is
-        start.below = float(abs(w[order[k]]))
-        start._prove(a, start.below)
-    order = order[:k]
-    return (v[:, order] * w[order]) @ v[:, order].T
+        # |lambda_{k+1}| itself proves the tightest tau there is
+        start.below = below
+        start._prove(a, below)
+    return (v * w) @ v.T
 
 
 def polar_project(x: np.ndarray) -> np.ndarray:

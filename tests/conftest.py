@@ -1,10 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
 
-from alma import harness, linalg
+from alma import linalg
 from alma.model import MmlsbmInstance, assemble_ground_truth, planted_connectivity
 from alma.sampling import sample_adjacency, sample_instance, substream
 
@@ -56,29 +54,4 @@ def eigsh_calls(monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "eigsh", spy)
-    return calls
-
-
-@pytest.fixture
-def blas_pins(monkeypatch):
-    """Every (thread, count, previous count) the elbow scan pins BLAS with.
-
-    Wraps the real pin when numpy has one, else stands in for it with one
-    process-wide count, so the pool runs on any host; two usable CPUs are
-    reported either way.
-    """
-    calls = []
-    real = harness.pin_blas_threads
-    shared = [2]
-
-    def pin(count=1):
-        if real is not None:
-            prev = real(count)
-        else:
-            prev, shared[0] = shared[0], count
-        calls.append((threading.current_thread(), count, prev))
-        return prev
-
-    monkeypatch.setattr(harness, "pin_blas_threads", pin)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     return calls

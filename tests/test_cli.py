@@ -398,6 +398,9 @@ def test_elbow_rejects_a_zero_sweep_budget(tmp_path, capsys):
     ({"alpha": -0.5}, "config field alpha: must lie in [0, 1], got -0.5"),
     ({"K": 0}, "config field K: must be >= 1, got 0"),
     ({"n": "x"}, "config field n: needs a number, got 'x'"),
+    ({"master_seed": -1}, "config field master_seed: must be >= 0, got -1"),
+    ({"master_seed": "x"}, "config field master_seed: needs a number, got 'x'"),
+    ({"master_seed": 1.5}, "config field master_seed: needs an integer, got '1.5'"),
 ])
 def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fields, message):
     cfg_path = tmp_path / "cfg.json"
@@ -459,6 +462,27 @@ def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fiel
     pytest.param(["diagnostics", "--instance", "{dir}/missing.json"],
                  "alma diagnostics: error: --instance {dir}/missing.json: no such file",
                  id="missing-instance"),
+    pytest.param(["scenario", "--scenario", "1", "--grid-points", "1", "--replicates", "1",
+                  "--seed", "-1", "--out", "{dir}/res"],
+                 "alma scenario: error: argument --seed: must be >= 0, got -1",
+                 id="scenario-negative-seed"),
+    pytest.param(["generate", "--seed", "-1", "--out", "{dir}/gen"],
+                 "alma generate: error: argument --seed: must be >= 0, got -1",
+                 id="generate-negative-seed"),
+    pytest.param(["fit", "--input", "{dir}/adjacency.bin", "--groups", "2",
+                  "--communities", "2", "--seed", "-1"],
+                 "alma fit: error: argument --seed: must be >= 0, got -1",
+                 id="fit-negative-seed"),
+    pytest.param(["elbow", "--input", "{dir}/adjacency.bin", "--communities", "2",
+                  "--seed", "-1"],
+                 "alma elbow: error: argument --seed: must be >= 0, got -1",
+                 id="elbow-negative-seed"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/seed-negative.json"],
+                 "alma scenario: error: config field master_seed: must be >= 0, got -1",
+                 id="config-negative-seed"),
+    pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/seed-text.json"],
+                 "alma scenario: error: config field master_seed: needs a number, got 'x'",
+                 id="config-text-seed"),
 ])
 def test_usage_errors_exit_2_with_the_command_prefix(tmp_path, capsys, argv, message):
     generate_small(tmp_path, capsys, extra=["--edge-list"])
@@ -468,8 +492,16 @@ def test_usage_errors_exit_2_with_the_command_prefix(tmp_path, capsys, argv, mes
     (tmp_path / "methods.json").write_text(json.dumps({"methods": "alma"}))
     (tmp_path / "empty.json").write_text("")
     (tmp_path / "number.json").write_text("3")
+    (tmp_path / "seed-negative.json").write_text(json.dumps({"master_seed": -1}))
+    (tmp_path / "seed-text.json").write_text(json.dumps({"master_seed": "x"}))
     err = usage_error([arg.format(dir=tmp_path) for arg in argv], capsys)
-    assert err == message.format(dir=tmp_path) + "\n"
+    # argparse prints the subcommand's usage, indented where it wraps, before its own errors
+    *usage, last = err.splitlines()
+    assert last == message.format(dir=tmp_path)
+    if usage:
+        assert usage[0].startswith(f"usage: alma {argv[0]} ")
+        assert all(line.startswith(" ") for line in usage[1:])
+    assert not (tmp_path / "res").exists() and not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--grid-points", "--replicates"])
@@ -501,6 +533,66 @@ def test_output_digest_rejects_bad_arguments_before_running(tmp_path, argv, mess
     assert proc.returncode == 2
     assert message in proc.stderr
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["old.csv"]
+
+
+def write_digest(root, objective="1012.9298204455232", labels=(1, 0, 2), iters="52",
+                 r_bl="0.55"):
+    """A one-seed tree shaped like output_digest.py's, with the given values."""
+    seed = root / "seed-1"
+    (seed / "fit-large").mkdir(parents=True)
+    (seed / "fit-large" / "fit.json").write_text(json.dumps(
+        {"layer_labels": list(labels), "iters": 100, "converged": False,
+         "objective": float(objective), "stop_reason": "budget",
+         "final_step": 0.001777162744294804}))
+    (seed / "elbow").mkdir()
+    (seed / "elbow" / "draw0.csv").write_text(
+        f"m,objective,iters,converged,stop_reason\n1,{objective},{iters},false,budget\n"
+        "2,nan,0,false,degenerate\n")
+    (seed / "sweep-threads1").mkdir()
+    (seed / "sweep-threads1" / "runs.csv").write_text(
+        f"method,R_BL,iters,seconds\nalma,{r_bl},{iters},\n")
+    return root
+
+
+@pytest.mark.parametrize("change, code, line", [
+    pytest.param({}, 0, "fit-large/fit.json objective: largest relative difference 0",
+                 id="same"),
+    pytest.param({"objective": "1012.9298204455252"}, 0,
+                 "elbow/draw0.csv objective: largest relative difference 2.02e-15",
+                 id="float-within-tolerance"),
+    pytest.param({"objective": "1012.93"}, 1,
+                 "fit-large/fit.json objective: largest relative difference 1.77e-07  "
+                 "exceeds 1e-09", id="float-past-tolerance"),
+    pytest.param({"labels": (1, 0, 1)}, 1,
+                 "seed-1/fit-large/fit.json: layer_labels differs: [1, 0, 2] != [1, 0, 1]",
+                 id="labels"),
+    pytest.param({"iters": "53"}, 1, "seed-1/elbow/draw0.csv: iters differs: '52' != '53'",
+                 id="iters"),
+    pytest.param({"r_bl": "0.5500000000000001"}, 1,
+                 "seed-1/sweep-threads1/runs.csv: R_BL differs: '0.55' != '0.5500000000000001'",
+                 id="rate-in-its-last-bit"),
+])
+def test_digest_diff_holds_all_but_float_fields_exact(tmp_path, change, code, line):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "digest_diff.py"
+    parent = write_digest(tmp_path / "parent")
+    ours = write_digest(tmp_path / "change", **change)
+    proc = subprocess.run([sys.executable, str(script), str(parent), str(ours)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert line in proc.stdout.splitlines()
+    assert proc.stdout.splitlines()[-1] == ("digests agree" if code == 0 else "digests differ")
+
+
+def test_digest_diff_names_a_file_only_one_tree_holds(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "digest_diff.py"
+    parent = write_digest(tmp_path / "parent")
+    ours = write_digest(tmp_path / "change")
+    (ours / "seed-1" / "elbow" / "draw0.csv").rename(ours / "seed-1" / "elbow" / "draw1.csv")
+    proc = subprocess.run([sys.executable, str(script), str(parent), str(ours)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "only in parent: seed-1/elbow/draw0.csv" in proc.stdout
+    assert "only in change: seed-1/elbow/draw1.csv" in proc.stdout
 
 
 @pytest.mark.parametrize("value, message", [

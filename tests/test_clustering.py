@@ -294,3 +294,28 @@ def test_kmeans_rejects_non_finite_points(rng, bad):
     pts[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         kmeans(pts, 2, rng)
+
+
+def choice_plusplus_seed(points, k, rng):
+    """k-means++ seeding that draws each later center with ``Generator.choice``."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmeans_draws())
+def test_plusplus_draws_the_centers_generator_choice_draws(draw):
+    points, k, _, seed = draw
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _plusplus_seed(points, k, ours)
+    assert got.tobytes() == choice_plusplus_seed(points, k, theirs).tobytes()
+    # both streams stand at the same place afterwards
+    assert ours.random() == theirs.random()

@@ -16,7 +16,7 @@ from alma.linalg import (
     sym_eig_topk,
     warm_start,
 )
-from conftest import make_noisy
+from conftest import make_noisy, make_truth
 
 
 def random_symmetric(n, seed):
@@ -114,6 +114,144 @@ def test_rank_project_is_frobenius_optimal():
         a = random_symmetric(5, seed)
         for k in (1, 2, 3):
             assert np.allclose(rank_project(a, k), brute_force_best_subset(a, k), atol=1e-9)
+
+
+# Below LANCZOS_MIN_N, rank_project finds only the kept eigenpairs (dsytrd,
+# then dstemr at both ends of the spectrum, then dormqr). The oracle is the
+# full eigh it replaced.
+
+
+def eigh_projection(a, k):
+    """The rank-k projection and |lambda_{k+1}| from a full ``np.linalg.eigh``."""
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(w), kind="stable")
+    keep = order[:k]
+    return (v[:, keep] * w[keep]) @ v[:, keep].T, float(abs(w[order[k]]))
+
+
+def assert_matches_eigh(a, k):
+    """Kernel against oracle, wherever the k-th and (k+1)-th magnitudes differ."""
+    want, below = eigh_projection(a, k)
+    mags = np.sort(np.abs(np.linalg.eigvalsh(a)))[::-1]
+    values, vectors, got_below = linalg._kept_pairs(a, k, with_below=True)
+    assert got_below == pytest.approx(below, rel=1e-12, abs=1e-12 * mags[0])
+    # without below, MRRR runs on narrower index ranges, which may move the last bits
+    assert np.allclose(linalg._kept_pairs(a, k)[0], values, rtol=1e-12, atol=1e-12 * mags[0])
+    assert np.allclose(np.sort(np.abs(values))[::-1], mags[:k], rtol=1e-12,
+                       atol=1e-12 * mags[0])
+    if mags[k - 1] - mags[k] > 1e-9 * mags[0]:
+        got = rank_project(a, k)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 10**6), st.data())
+def test_rank_project_matches_eigh_on_random_symmetric_matrices(n, seed, data):
+    k = data.draw(st.integers(1, n - 1))
+    assert_matches_eigh(random_symmetric(n, seed), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_rank_project_matches_eigh_on_negative_dominated_spectra(k):
+    rng = np.random.default_rng(70 + k)
+    b = rng.normal(size=(80, 6))
+    # six large negative eigenvalues over a small symmetric bulk
+    a = -(b @ b.T) + 0.1 * random_symmetric(80, 70 + k)
+    assert np.sum(np.linalg.eigvalsh(a) < -5.0) == 6 and np.linalg.eigvalsh(a).max() < 5.0
+    assert_matches_eigh(a, k)
+
+
+@pytest.mark.parametrize("seed, n, m, k", [(90, 30, 2, 2), (91, 60, 3, 3), (92, 40, 1, 4)])
+def test_rank_project_matches_eigh_on_noiseless_slices(seed, n, m, k):
+    # p_star slices are block-constant: their tridiagonal splits, and their
+    # spectra repeat eigenvalues
+    _, gt = make_truth(seed, n=n, L=8, m=m, k=k, p_max=0.9, alpha=0.3)
+    slices = gt.p_star.array
+    w = np.linalg.qr(np.random.default_rng(seed).normal(size=(8, m)))[0]
+    for a in [slices[0], slices.sum(axis=0)] + list(np.tensordot(w.T, slices, axes=1)):
+        for rank in range(1, k + 2):
+            assert_matches_eigh(a, rank)
+
+
+def test_rank_project_matches_eigh_on_a_disconnected_adjacency():
+    # two blocks of unequal size and two isolated nodes
+    rng = np.random.default_rng(93)
+    blocks = []
+    for size in (20, 12):
+        upper = np.triu((rng.random((size, size)) < 0.4).astype(float), k=1)
+        blocks.append(upper + upper.T)
+    a = np.zeros((34, 34))
+    a[:20, :20], a[20:32, 20:32] = blocks
+    for k in (1, 2, 3, 6):
+        assert_matches_eigh(a, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_rank_project_matches_eigh_when_both_ends_cover_the_spectrum(n):
+    a = random_symmetric(n, 94 + n)
+    for k in range(1, n):  # from 2(k+1) >= n up to k = n - 1
+        if 2 * (k + 1) >= n:
+            assert_matches_eigh(a, k)
+
+
+@pytest.mark.parametrize("lam, k, kept", [
+    ([5.0, -5.0, 3.0, 1.0, -1.0, 0.5, 0.25, 0.0], 1, [-5.0]),
+    ([5.0, -5.0, 3.0, 1.0, -1.0, 0.5, 0.25, 0.0], 2, [5.0, -5.0]),
+    ([1.0, 4.0, -2.0, 2.0, -4.0, 0.0, 3.0, -3.0, 0.5, 0.1], 3, [4.0, -4.0, -3.0]),
+    ([2.0, -2.0, 2.0, -2.0, 1.0, 0.0], 3, [2.0, -2.0, -2.0]),
+])
+def test_rank_project_keeps_the_dense_tie_rule_on_diagonal_ties(lam, k, kept):
+    a = np.diag(lam)
+    out = rank_project(a, k)
+    assert np.array_equal(out, eigh_projection(a, k)[0])
+    assert sorted(np.diag(out)[np.diag(out) != 0.0]) == sorted(kept)
+
+
+@pytest.mark.parametrize("result", [(2, 2), (0, 1)])
+def test_rank_project_raises_when_mrrr_fails_or_finds_too_few(monkeypatch, result):
+    real = linalg.lapack.dstemr
+    info, short = result
+
+    def failing(*args, **kwargs):
+        found, w, z, _ = real(*args, **kwargs)
+        return found - short, w, z, info
+
+    monkeypatch.setattr(linalg.lapack, "dstemr", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="dstemr"):
+        rank_project(random_symmetric(12, 95), 2)
+
+
+def test_rank_project_raises_on_a_non_finite_matrix():
+    a = random_symmetric(8, 96)
+    a[2, 5] = a[5, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        rank_project(a, 2)
+
+
+@pytest.mark.skipif(linalg._scipy_openblas_threads_local is None,
+                    reason="scipy's OpenBLAS thread count cannot be set")
+def test_dense_kernel_runs_scipy_blas_on_one_thread_and_puts_the_count_back(monkeypatch):
+    setter = linalg._scipy_openblas_threads_local
+    real = linalg.lapack.dsytrd
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(setter(1))  # the count in force; setting 1 again changes nothing
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.lapack, "dsytrd", spy)
+    bad = random_symmetric(8, 98)
+    bad[0, 0] = np.nan
+    found = setter(2)
+    try:
+        rank_project(random_symmetric(40, 97), 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            rank_project(bad, 2)
+        after = setter(2)
+    finally:
+        setter(found)
+    assert seen == [1, 1] and after == 2
 
 
 def test_polar_rotation_hand_value():

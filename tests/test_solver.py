@@ -203,24 +203,26 @@ def test_warm_q_steps_run_no_dense_fallback_and_mostly_no_factorization(
     _, _, a = make_noisy(55, n=300, L=12, m=3, k=3, p_max=0.5, alpha=0.5)
     w1 = spectral_init(a, 3, substream(55, 2))
     sweep = [0]
-    eigh_sweeps, cholesky_sweeps = [], []
+    dense_sweeps, cholesky_sweeps = [], []
 
     def count_sweeps(*args, **kwargs):
         sweep[0] += 1
         return q_update(*args, **kwargs)
 
-    def spy(name, real, log):
+    def spy(module, name, log):
+        real = getattr(module, name)
+
         def wrapped(*args, **kwargs):
             log.append(sweep[0])
             return real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
     monkeypatch.setattr(solver, "q_update", count_sweeps)
-    spy("eigh", np.linalg.eigh, eigh_sweeps)
-    spy("cholesky", np.linalg.cholesky, cholesky_sweeps)
+    spy(linalg, "_kept_pairs", dense_sweeps)
+    spy(np.linalg, "cholesky", cholesky_sweeps)
     fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(eps_stop=0.0, max_iter=10))
     assert fit.iters_used == sweep[0] == 10
-    assert eigh_sweeps == [1, 1, 1]
+    assert dense_sweeps == [1, 1, 1]
     warm_slices = 3 * 9
     assert eigsh_calls == [3] * warm_slices
     # without the carried certificate every warm slice takes two
