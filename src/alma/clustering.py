@@ -211,6 +211,20 @@ def _match_clusters_to_columns(centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _group_mean(a: Tensor3, layers) -> np.ndarray:
+    """Mean of the slices ``layers`` of ``a``, summed into one n x n buffer.
+
+    The slices are added in layer order, as numpy's ``mean(axis=0)`` of the
+    stacked slices adds them, so the two agree bit for bit without a copy of
+    the stack.
+    """
+    total = a.slice(layers[0]).copy(order="K")
+    for l in layers[1:]:
+        total += a.slice(l)
+    total /= len(layers)
+    return total
+
+
 def cluster_factor_pair(
     a: Tensor3, w_hat: np.ndarray, ranks, rng, restarts: int = 20
 ) -> ClusteringResult:
@@ -238,9 +252,9 @@ def cluster_factor_pair(
     layer_labels = col_of[km.labels]
     if np.bincount(layer_labels, minlength=m).min() == 0:
         raise EmptyClusterError("a layer group came back empty after clustering")
-    arr = a.array
     node_labels = []
     for j in range(m):
-        affinity = arr[layer_labels == j].mean(axis=0)
-        node_labels.append(within_layer_labels(affinity, int(ranks[j]), streams[1 + j], restarts))
+        node_labels.append(within_layer_labels(
+            _group_mean(a, np.flatnonzero(layer_labels == j)), int(ranks[j]),
+            streams[1 + j], restarts))
     return ClusteringResult(layer_labels, node_labels)

@@ -181,18 +181,20 @@ class Certificate:
 
     Pass it as :func:`rank_project`'s ``start``. Before each call the caller
     sets ``v0``, the Lanczos start (see :func:`warm_start`; None runs the
-    dense ``eigh``); ``key``, whatever names the slice to the caller; and
+    dense kernel); ``key``, whatever names the slice to the caller; and
     ``drift``, a bound on the Frobenius distance from the slice to the one
     proved under ``ref``. A call that proves its slice sets ``ref = key``.
     After every call, at most k eigenvalues of the slice proved under
     ``ref`` lie outside (-tau, tau); ``ref_norm`` is that slice's Frobenius
-    norm and ``below`` estimates its |lambda_{k+1}|.
+    norm and ``below`` estimates its |lambda_{k+1}|. ``kept`` holds the
+    call's kept eigenpairs (values, vectors), from which ``_from_pairs``
+    rebuilds what it returned, or None after an identity projection (k >= n).
     """
 
-    __slots__ = ("v0", "key", "drift", "ref", "ref_norm", "tau", "below")
+    __slots__ = ("v0", "key", "drift", "ref", "ref_norm", "tau", "below", "kept")
 
     def __init__(self):
-        self.v0 = self.key = None
+        self.v0 = self.key = self.kept = None
         self.drift = np.inf
         self.ref = None  # no proof yet
         self.ref_norm = self.tau = np.inf
@@ -228,6 +230,16 @@ def _ritz_radius(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
             + 2.0 * np.sqrt(1.0 + eta) * float(np.abs(w).max()) * eta / (1.0 - eta))
 
 
+def _from_pairs(pairs) -> np.ndarray:
+    """The matrix ``V diag(w) V^T`` of the eigenpairs ``(w, V)``.
+
+    :func:`rank_project` returns it, and its bits are what a rebuild from
+    :attr:`Certificate.kept` must reproduce, so both go through here.
+    """
+    w, v = pairs
+    return (v * w) @ v.T
+
+
 def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> bool:
     """Whether every eigenvalue of R = A - V diag(w) V^T lies in (-t, t).
 
@@ -236,7 +248,7 @@ def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> b
     """
     n = a.shape[0]
     # tI - R, then tI + R = 2tI - (tI - R) in the same buffer
-    buf = (v * w) @ v.T
+    buf = _from_pairs((w, v))
     buf -= a
     diag = buf.reshape(-1)[:: n + 1]
     diag += t
@@ -251,7 +263,7 @@ def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> b
 
 
 def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
-    """Rank-k projection from Lanczos pairs started at ``cert.v0``, or None when uncertified.
+    """Top-k Lanczos pairs (values, vectors) started at ``cert.v0``, or None when uncertified.
 
     If ||R||_2 < t for R = A - V diag(w) V^T, Weyl's inequality puts every
     eigenvalue of A but k inside (-t, t); with t just below |w_k| no
@@ -279,7 +291,7 @@ def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
         floor = (abs(w[-1]) - _ritz_radius(a, w, v)
                  - _round_off(n, cert.ref_norm + cert.drift))
         if floor > cert.tau + cert.drift:
-            return (v * w) @ v.T
+            return w, v
         if np.isfinite(cert.below):
             t = cert.below + RECERTIFY_FRAC * (abs(w[-1]) - cert.below)
             if t < floor:
@@ -287,8 +299,7 @@ def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
     for t in trials:
         if _residual_within(a, w, v, t):
             cert._prove(a, t)
-            # rebuilt rather than held through both factorizations
-            return (v * w) @ v.T
+            return w, v
         # ||R||_2, about |lambda_{k+1}|, is at least t: aim higher next time
         cert.below = t
     return None
@@ -374,8 +385,9 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.
     identity projection; ``k > n`` additionally emits a warning. ``start`` is
     an optional :class:`Certificate`: it holds the Lanczos start vector (see
     :func:`warm_start`) and carries the proof from the previous call on a
-    nearby matrix, and is refreshed in place. It changes only how the
-    eigenpairs are found, and is ignored below ``LANCZOS_MIN_N``.
+    nearby matrix, and is refreshed in place, the kept eigenpairs included.
+    It changes only how the eigenpairs are found, and below
+    ``LANCZOS_MIN_N`` it only receives the kept pairs.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
@@ -384,20 +396,25 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.
     if k >= n:
         if k > n:
             warnings.warn(f"rank {k} exceeds dimension {n}, clamping", RuntimeWarning)
+        if start is not None:
+            start.kept = None
         return a.copy()
     lanczos = start is not None and _lanczos_applies(n, k)
+    pairs = None
     if lanczos and start.v0 is not None:
-        low = _certified_topk(a, k, start)
-        if low is not None:
-            return low
-    # from the crossover up every dense call finds |lambda_{k+1}|, so that a
-    # Lanczos fallback returns the same bits as a call without a start
-    w, v, below = _kept_pairs(a, k, with_below=_lanczos_applies(n, k))
-    if lanczos:
-        # |lambda_{k+1}| itself proves the tightest tau there is
-        start.below = below
-        start._prove(a, below)
-    return (v * w) @ v.T
+        pairs = _certified_topk(a, k, start)
+    if pairs is None:
+        # from the crossover up every dense call finds |lambda_{k+1}|, so that a
+        # Lanczos fallback returns the same bits as a call without a start
+        w, v, below = _kept_pairs(a, k, with_below=_lanczos_applies(n, k))
+        if lanczos:
+            # |lambda_{k+1}| itself proves the tightest tau there is
+            start.below = below
+            start._prove(a, below)
+        pairs = w, v
+    if start is not None:
+        start.kept = pairs
+    return _from_pairs(pairs)
 
 
 def polar_project(x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,11 @@ costs no pass over the tensor: with W orthonormal,
 slice correlation matrix and ||A||^2 is taken once per fit.
 
 A Q-step projects its group slices one after another on the calling thread,
-with whatever BLAS threads the caller runs.
+with whatever BLAS threads the caller runs, each into the slice buffer of the
+mode-1 product it came from, so a sweep holds one M x n x n stack. The fit
+does not keep the previous sweep's Q either: the step rule's return rebuilds
+it from the kept eigenpairs each slice's :class:`alma.linalg.Certificate`
+carries.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
@@ -45,12 +49,19 @@ import numpy as np
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
 from .linalg import (
     Certificate,
+    _from_pairs,
     _lanczos_applies,
     polar_project,
     rank_project,
     warm_start,
 )
-from .tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
+from .tensors import (
+    Tensor3,
+    _product_store,
+    mode1_matricize,
+    mode1_product,
+    mode23_product,
+)
 
 # Largest relative fall of the objective in one sweep that ends a fit. At
 # 1e-5 scenario-1 fits stop at sweeps 3-32 and lose accuracy; at 1e-7 about
@@ -167,9 +178,10 @@ class _SliceDrift:
 class _CarriedStart(NamedTuple):
     """A Q-step's start as :func:`alma_fit` carries it from sweep to sweep."""
 
-    q: Tensor3 | None  # the previous sweep's Q; None before the first sweep
-    certs: tuple  # per slice, a Certificate keyed by its W column, or None
-    drift: _SliceDrift
+    # per slice, a Certificate keyed by its W column, or None; each holds the
+    # slice's next Lanczos start and its last kept eigenpairs
+    certs: tuple
+    drift: _SliceDrift | None  # None when no slice is on the Lanczos path
 
 
 def q_update(a: Tensor3, w: np.ndarray, ranks,
@@ -178,10 +190,10 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
 
     Slice m is the W(:, m)-weighted sum of adjacency slices, truncated to its
     ``ranks[m]`` largest-magnitude eigencomponents. ``start`` is what
-    :func:`alma_fit` carries from sweep to sweep: the previous Q, which
-    warm-starts the eigensolver, and each slice's certificate, which the
-    projections refresh in place. It changes only how the eigenpairs are
-    found, not the result.
+    :func:`alma_fit` carries from sweep to sweep: each slice's certificate,
+    which the projections refresh in place, down to the Lanczos start of the
+    next call, taken from this call's projection. It changes only how the
+    eigenpairs are found, not the result.
     """
     L, n, n2 = a.dims
     if n != n2:
@@ -190,20 +202,41 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
     m = w.shape[1]
     if len(ranks) != m:
         raise ValueError(f"expected {m} ranks, got {len(ranks)}")
-    q_prev, certs, drift = (None, (None,) * m, None) if start is None else start
-    if len(certs) != m or (q_prev is not None and q_prev.dims != (m, n, n)):
+    certs, drift = ((None,) * m, None) if start is None else start
+    if len(certs) != m or any(cert is not None and cert.v0 is not None
+                              and np.shape(cert.v0) != (n,) for cert in certs):
         raise ValueError(f"start does not match {m} slices of {n} x {n}")
-    core = mode1_product(a, w.T)
-    # Tensor3's store layout: slice j is held transposed
-    store = np.empty((m, n, n))
+    # each slice is projected in place in the product's own buffer
+    store = _product_store(mode1_product(a, w.T), a)
     for j, (k, cert) in enumerate(zip(ranks, certs)):
         k = int(k)
         if cert is not None:
-            cert.v0 = None if q_prev is None else warm_start(q_prev.slice(j), k)
             cert.key = w[:, j].copy()
             if cert.ref is not None:
                 cert.drift = drift(cert.key - cert.ref)
-        store[j] = rank_project(core.slice(j), k, start=cert).T
+        store[j] = rank_project(store[j].T, k, start=cert).T
+        if cert is not None:
+            # from the stored view: an array of another layout would sum the
+            # start's matrix-vector product in another order
+            cert.v0 = warm_start(store[j].T, k)
+    return Tensor3._wrap(store)
+
+
+def _kept(q: Tensor3, certs) -> tuple:
+    """What rebuilds ``q`` after its certificates move on: per slice the kept
+    eigenpairs, or a copy of an identity projection (rank n)."""
+    return tuple(q.slice(j).copy() if cert.kept is None else cert.kept
+                 for j, cert in enumerate(certs))
+
+
+def _rebuilt(kept, n: int) -> Tensor3:
+    """The Q of :func:`_kept`'s slices, bit for bit as :func:`rank_project` built it."""
+    store = np.empty((len(kept), n, n))
+    for j, piece in enumerate(kept):
+        if isinstance(piece, np.ndarray):
+            store[j] = piece.T
+        else:
+            store[j] = _from_pairs(piece).T
     return Tensor3._wrap(store)
 
 
@@ -227,7 +260,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
         raise ValueError("w_init columns must match the number of ranks")
 
     trace: list = []
-    q_prev = None
+    kept_prev = None  # what rebuilds the previous sweep's Q
     q = None
     w = w_prev
     converged = False
@@ -239,11 +272,12 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
         amat = mode1_matricize(a).reshape(-1)
         a_sq = float(amat @ amat)
     f_prev = None
-    certs = tuple(Certificate() if _lanczos_applies(n, k) else None for k in ranks)
-    drift = _SliceDrift(a) if any(cert is not None for cert in certs) else None
+    certs = tuple(Certificate() for _ in ranks)
+    drift = _SliceDrift(a) if any(_lanczos_applies(n, k) for k in ranks) else None
+    start = _CarriedStart(certs, drift)
     for sweep in range(1, config.max_iter + 1):
-        q = q_update(a, w_prev, ranks,
-                     start=None if drift is None else _CarriedStart(q_prev, certs, drift))
+        q = None  # the last Q goes before the next one is built
+        q = q_update(a, w_prev, ranks, start=start)
         if config.record_trace:
             trace.append(objective(a, q, w_prev))
         # the W-step, with G kept for the objective rule
@@ -263,7 +297,8 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
         if step <= config.eps_stop:
             converged = True
             if sweep > 1:
-                q, w = q_prev, w_prev
+                q = None
+                q, w = _rebuilt(kept_prev, n), w_prev
             break
         if a_sq is not None:
             f = _objective_after_w_step(a, a_sq, q, w, g)
@@ -273,7 +308,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
                 converged = True
                 break
             f_prev = f
-        q_prev, w_prev = q, w
+        kept_prev, w_prev = _kept(q, certs), w
 
     return FactorPair(
         w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged,

@@ -102,7 +102,9 @@ def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
     """Multiply along mode 1: result slice j = sum_i a[j, i] * x slice i.
 
     ``a`` has shape (m, d1); the result has dims (m, d2, d3) and satisfies
-    ``mode1_matricize(result) == a @ mode1_matricize(x)``.
+    ``mode1_matricize(result) == a @ mode1_matricize(x)``. The result is built
+    on a new buffer, never on ``x``'s, so :func:`_product_store` may hand it
+    out for writing.
     """
     a = np.asarray(a, dtype=np.float64)
     d1, d2, d3 = x.dims
@@ -110,6 +112,20 @@ def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
         raise ValueError(f"left factor shape {a.shape} does not match mode-1 dim {d1}")
     store = np.tensordot(a, x._store, axes=(1, 0))
     return Tensor3._wrap(store)
+
+
+def _product_store(product: Tensor3, x: Tensor3) -> np.ndarray:
+    """The store of ``product``, a fresh :func:`mode1_product` of ``x``, made writable.
+
+    For a caller that holds the only reference to ``product`` and overwrites
+    it in place; slice j is held transposed, as in every :class:`Tensor3`.
+    Raises if the store could overlap ``x``'s, which writing would corrupt.
+    """
+    store = product._store
+    if np.may_share_memory(store, x._store):
+        raise ValueError("the product's buffer overlaps its operand's")
+    store.setflags(write=True)
+    return store
 
 
 def mode23_product(x: Tensor3, y: Tensor3) -> np.ndarray:
@@ -173,11 +189,11 @@ def read_tensor(path) -> Tensor3:
     if min(d1, d2, d3) < 1:
         raise ValueError(f"bad dims {(d1, d2, d3)}")
     count = d1 * d2 * d3
-    payload = blob[16:]
-    if len(payload) != count * itemsize:
+    if len(blob) - 16 != count * itemsize:
         raise ValueError(
-            f"truncated payload: expected {count * itemsize} bytes, got {len(payload)}"
+            f"truncated payload: expected {count * itemsize} bytes, got {len(blob) - 16}"
         )
-    flat = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    # read in place past the header; astype makes the one copy the store needs
+    flat = np.frombuffer(blob, dtype=dtype, offset=16).astype(np.float64)
     store = flat.reshape(d1, d3, d2)
     return Tensor3._wrap(store)

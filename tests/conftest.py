@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import eigsh
@@ -37,6 +39,20 @@ def make_noisy(seed, **kw):
     inst, gt = make_truth(seed, **kw)
     adj = sample_adjacency(gt, substream(seed, 1))
     return inst, gt, adj
+
+
+def traced_peak(fn) -> int:
+    """Bytes that ``fn()`` holds at its peak beyond what was allocated before it.
+
+    Counts what tracemalloc sees, which includes numpy's array buffers.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

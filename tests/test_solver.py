@@ -26,7 +26,7 @@ from alma.solver import (
     w_update,
 )
 from alma.tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
-from conftest import make_noisy, make_truth
+from conftest import make_noisy, make_truth, traced_peak
 
 
 def test_config_validation():
@@ -237,9 +237,9 @@ def test_carried_drift_bounds_how_far_each_slice_moved():
     w1 = polar_project(w0 + 0.05 * rng.normal(size=(6, 2)))
     drift = solver._SliceDrift(a)
     certs = (Certificate(), Certificate())
-    q0 = q_update(a, w0, ranks, start=solver._CarriedStart(None, certs, drift))
+    q_update(a, w0, ranks, start=solver._CarriedStart(certs, drift))
     assert all(np.array_equal(cert.ref, w0[:, j]) for j, cert in enumerate(certs))
-    q_update(a, w1, ranks, start=solver._CarriedStart(q0, certs, drift))
+    q_update(a, w1, ranks, start=solver._CarriedStart(certs, drift))
     s0, s1 = mode1_product(a, w0.T), mode1_product(a, w1.T)
     for j, cert in enumerate(certs):
         moved = np.linalg.norm(s1.slice(j) - s0.slice(j))
@@ -250,12 +250,51 @@ def test_q_update_rejects_mismatched_start():
     _, _, a = make_noisy(53, n=10, L=5, m=1, k=2)
     w = np.full((5, 1), 1.0 / np.sqrt(5.0))
     drift = solver._SliceDrift(a)
+    # a Lanczos start carried from 20 nodes
+    cert = Certificate()
+    cert.v0 = np.ones(20) / np.sqrt(20.0)
+    with pytest.raises(ValueError):
+        q_update(a, w, (2,), start=solver._CarriedStart((cert,), drift))
     with pytest.raises(ValueError):
         q_update(a, w, (2,), start=solver._CarriedStart(
-            Tensor3(np.zeros((2, 10, 10))), (Certificate(),), drift))
-    with pytest.raises(ValueError):
-        q_update(a, w, (2,), start=solver._CarriedStart(
-            None, (Certificate(), Certificate()), drift))
+            (Certificate(), Certificate()), drift))
+
+
+@pytest.mark.parametrize("n, ranks", [
+    pytest.param(40, (2, 3), id="dense"),
+    pytest.param(LANCZOS_MIN_N + 50, (2, 3), id="lanczos"),
+    pytest.param(6, (2, 6), id="identity-slice"),
+])
+def test_step_rule_returns_the_previous_sweeps_q_bit_for_bit(eigsh_calls, n, ranks):
+    # the fit keeps no dense Q from sweep to sweep; a step-rule stop rebuilds
+    # the earlier one from its eigenpairs, or from a copy of a rank-n slice
+    _, _, a = make_noisy(58, n=n, L=8, m=2, k=2, p_max=0.6, alpha=0.5)
+    w0 = np.linalg.qr(np.random.default_rng(58).normal(size=(8, 2)))[0]
+    steps = [alma_fit(a, ranks, w0, AlmaConfig(eps_stop=0.0, max_iter=t)).final_step
+             for t in (1, 2, 3)]
+    assert min(steps[:2]) > steps[2]
+    fit = alma_fit(a, ranks, w0, AlmaConfig(eps_stop=steps[2]))
+    before = alma_fit(a, ranks, w0, AlmaConfig(eps_stop=0.0, max_iter=2))
+    assert (fit.iters_used, fit.stop_reason) == (3, "converged")
+    assert fit.q == before.q
+    assert np.array_equal(fit.w, before.w)
+    # the Q returned from the Lanczos path is one a warm Q-step found
+    assert bool(eigsh_calls) == (n >= LANCZOS_MIN_N)
+
+
+def test_a_fit_holds_one_q_stack_at_a_time():
+    # Gate on the traced peak of a 5-sweep fit, in units of one n x n slice:
+    # the M x n x n stack each Q-step projects in place, the dense kernel's
+    # few n x n buffers and no more. A fit that also held the previous
+    # sweep's Q and a second output stack peaked at 10.05 units here, this
+    # one at 7.07.
+    n, m = 300, 3
+    _, _, a = make_noisy(57, n=n, L=12, m=m, k=3, p_max=0.5, alpha=0.5)
+    w1 = spectral_init(a, m, substream(57, 2))
+    ranks = (3,) * m
+    alma_fit(a, ranks, w1, AlmaConfig(eps_stop=0.0, max_iter=2))  # first-call caches
+    peak = traced_peak(lambda: alma_fit(a, ranks, w1, AlmaConfig(eps_stop=0.0, max_iter=5)))
+    assert peak <= (m + 5) * n * n * 8
 
 
 def test_fit_projects_every_slice_on_the_calling_thread(monkeypatch):
@@ -330,10 +369,9 @@ def test_objective_from_the_w_step_matches_the_residual(monkeypatch, n):
     w = np.linalg.qr(np.random.default_rng(62).normal(size=(8, 2)))[0]
     amat = mode1_matricize(a).reshape(-1)
     a_sq = float(amat @ amat)
-    certs, drift = (Certificate(), Certificate()), solver._SliceDrift(a)
-    q = None
+    start = solver._CarriedStart((Certificate(), Certificate()), solver._SliceDrift(a))
     for _ in range(3):
-        q = q_update(a, w, (2, 2), start=solver._CarriedStart(q, certs, drift))
+        q = q_update(a, w, (2, 2), start=start)
         g = mode23_product(a, q)
         w = polar_project(g)
         ref = objective(a, q, w)
