@@ -6,24 +6,25 @@ so that its largest-magnitude coordinate is positive (lowest index wins a
 tie). Given equal inputs the outputs are bit-identical, which is what the
 reproducibility contract of the harness leans on.
 
-:func:`rank_project` finds only the eigenpairs it keeps. Its dense kernel
-tridiagonalizes once (LAPACK ``dsytrd``), takes the k lowest and k highest
-eigenpairs of the tridiagonal by MRRR (``dstemr``; k+1 at each end from
-``LANCZOS_MIN_N`` nodes up, where the certificate needs |lambda_{k+1}|),
-picks the k largest in magnitude by the same stable rule as
-:func:`sym_eig_topk`, and back-transforms only those k vectors
-(``dormqr``), all on one thread of the OpenBLAS that scipy bundles apart
-from numpy's. scipy's LAPACK wrappers hold the GIL, so threads do not
-overlap the dense kernel.
+:func:`rank_project` returns only the eigenpairs it keeps, as
+:class:`EigPairs`; ``_from_pairs`` is the one place that densifies them. Its
+dense kernel tridiagonalizes once (LAPACK ``dsytrd``), takes the k lowest and
+k highest eigenpairs of the tridiagonal by MRRR (``dstemr``; k+1 at each end
+from ``LANCZOS_MIN_N`` nodes up, where the certificate needs
+|lambda_{k+1}|), picks the k largest in magnitude by the same stable rule as
+:func:`sym_eig_topk`, and back-transforms only those k vectors (``dormqr``),
+all on one thread of the OpenBLAS that scipy bundles apart from numpy's.
+scipy's LAPACK wrappers hold the GIL, so threads do not overlap the dense
+kernel.
 
-:func:`rank_project` can also take a warm start, a :class:`Certificate` that
-holds a Lanczos start vector. From ``LANCZOS_MIN_N`` nodes up it then asks
-ARPACK's Lanczos for the top-k pairs and keeps them only after an exact
-certificate (two Cholesky factorizations) proves no other eigenvalue is as
-large in magnitude; otherwise, and below the crossover, it runs the dense
-kernel. The :class:`Certificate` carries the last proof to the next, nearby
-slice, so that most warm calls keep their Lanczos pairs with no
-factorization at all.
+:func:`rank_project` can also take a warm start, a :class:`Certificate`. From
+``LANCZOS_MIN_N`` nodes up every call leaves in it the next call's Lanczos
+start, taken from the pairs it returns; a call that finds one asks ARPACK's
+Lanczos for the top-k pairs and keeps them only after an exact certificate
+(two Cholesky factorizations) proves no other eigenvalue is as large in
+magnitude; otherwise, and below the crossover, it runs the dense kernel. The
+:class:`Certificate` carries the last proof to the next, nearby slice, so
+that most warm calls keep their Lanczos pairs with no factorization at all.
 
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
 so concurrent worker processes can each run single-threaded BLAS instead of
@@ -158,43 +159,25 @@ def _fixed_unit(n: int) -> np.ndarray:
     return r / np.linalg.norm(r)
 
 
-def warm_start(prev: np.ndarray, k: int) -> np.ndarray | None:
-    """Lanczos start vector for :func:`rank_project` from a previous projection.
-
-    ``prev`` is an earlier rank-k projection of a nearby matrix; the start is
-    its image of a fixed unit vector r, normalized, plus ``1e-3 * r`` so no
-    direction is missed. Returns None where ``rank_project`` stays dense.
-    """
-    n = prev.shape[0]
-    if not _lanczos_applies(n, k):
-        return None
-    r = _fixed_unit(n)
-    v0 = prev @ r
-    norm = np.linalg.norm(v0)
-    if norm > 0.0:
-        v0 /= norm
-    return v0 + 1e-3 * r
-
-
 class Certificate:
     """The eigen-certificate one slice carries from projection to projection.
 
     Pass it as :func:`rank_project`'s ``start``. Before each call the caller
-    sets ``v0``, the Lanczos start (see :func:`warm_start`; None runs the
-    dense kernel); ``key``, whatever names the slice to the caller; and
-    ``drift``, a bound on the Frobenius distance from the slice to the one
-    proved under ``ref``. A call that proves its slice sets ``ref = key``.
-    After every call, at most k eigenvalues of the slice proved under
-    ``ref`` lie outside (-tau, tau); ``ref_norm`` is that slice's Frobenius
-    norm and ``below`` estimates its |lambda_{k+1}|. ``kept`` holds the
-    call's kept eigenpairs (values, vectors), from which ``_from_pairs``
-    rebuilds what it returned, or None after an identity projection (k >= n).
+    sets ``key``, whatever names the slice to the caller, and ``drift``, a
+    bound on the Frobenius distance from the slice to the one proved under
+    ``ref``. A call that proves its slice sets ``ref = key``. After every
+    call, at most k eigenvalues of the slice proved under ``ref`` lie
+    outside (-tau, tau); ``ref_norm`` is that slice's Frobenius norm and
+    ``below`` estimates its |lambda_{k+1}|. ``v0`` is the next call's
+    Lanczos start, which every call above the crossover sets from the pairs
+    it returned (V (lambda * V^T r), normalized, plus ``1e-3 * r`` for a
+    fixed unit r, so no direction is missed); None runs the dense kernel.
     """
 
-    __slots__ = ("v0", "key", "drift", "ref", "ref_norm", "tau", "below", "kept")
+    __slots__ = ("v0", "key", "drift", "ref", "ref_norm", "tau", "below")
 
     def __init__(self):
-        self.v0 = self.key = self.kept = None
+        self.v0 = self.key = None
         self.drift = np.inf
         self.ref = None  # no proof yet
         self.ref_norm = self.tau = np.inf
@@ -231,11 +214,7 @@ def _ritz_radius(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
 
 
 def _from_pairs(pairs) -> np.ndarray:
-    """The matrix ``V diag(w) V^T`` of the eigenpairs ``(w, V)``.
-
-    :func:`rank_project` returns it, and its bits are what a rebuild from
-    :attr:`Certificate.kept` must reproduce, so both go through here.
-    """
+    """The matrix ``V diag(w) V^T`` of the eigenpairs ``(w, V)``."""
     w, v = pairs
     return (v * w) @ v.T
 
@@ -363,7 +342,9 @@ def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False):
                 raise np.linalg.LinAlgError(
                     f"dstemr found {found} of eigenpairs {lo}..{hi} with info={info}")
             values.append(w[:found])
-            vectors.append(z[:, :found])
+            # z is n x n; drop it before the next call, keeping its found columns
+            vectors.append(z[:, :found].copy())
+            del z
         w = np.concatenate(values)
         order = np.argsort(-np.abs(w), kind="stable")
         keep = order[:k]
@@ -377,17 +358,17 @@ def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False):
     return w[keep], z, float(abs(w[order[k]])) if with_below else None
 
 
-def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.ndarray:
-    """Frobenius-nearest symmetric matrix of rank <= k.
+def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> EigPairs:
+    """The eigenpairs of the Frobenius-nearest symmetric matrix of rank <= k.
 
-    Keeps the k largest-magnitude eigenvalues; of -lambda and lambda tied at
-    the cut it keeps -lambda, as :func:`sym_eig_topk` does. ``k >= n`` is the
-    identity projection; ``k > n`` additionally emits a warning. ``start`` is
-    an optional :class:`Certificate`: it holds the Lanczos start vector (see
-    :func:`warm_start`) and carries the proof from the previous call on a
-    nearby matrix, and is refreshed in place, the kept eigenpairs included.
-    It changes only how the eigenpairs are found, and below
-    ``LANCZOS_MIN_N`` it only receives the kept pairs.
+    Returns the k largest-magnitude eigenpairs, in decreasing |eigenvalue|;
+    of -lambda and lambda tied at the cut it keeps -lambda, as
+    :func:`sym_eig_topk` does. ``k >= n`` returns the full eigendecomposition
+    (:func:`sym_eig_topk` with k = n), whose matrix is ``a`` itself; ``k > n``
+    additionally emits a warning. ``start`` is an optional
+    :class:`Certificate`: it carries the Lanczos start and the proof from the
+    previous call on a nearby matrix, and is refreshed in place, down to the
+    next call's start. It changes only how the eigenpairs are found.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
@@ -396,9 +377,7 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.
     if k >= n:
         if k > n:
             warnings.warn(f"rank {k} exceeds dimension {n}, clamping", RuntimeWarning)
-        if start is not None:
-            start.kept = None
-        return a.copy()
+        return sym_eig_topk(a, n)
     lanczos = start is not None and _lanczos_applies(n, k)
     pairs = None
     if lanczos and start.v0 is not None:
@@ -412,9 +391,15 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> np.
             start.below = below
             start._prove(a, below)
         pairs = w, v
-    if start is not None:
-        start.kept = pairs
-    return _from_pairs(pairs)
+    w, v = pairs
+    if lanczos:
+        r = _fixed_unit(n)
+        v0 = v @ (w * (v.T @ r))
+        norm = np.linalg.norm(v0)
+        if norm > 0.0:
+            v0 /= norm
+        start.v0 = v0 + 1e-3 * r
+    return EigPairs(w, v)
 
 
 def polar_project(x: np.ndarray) -> np.ndarray:

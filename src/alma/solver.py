@@ -22,14 +22,16 @@ Either stop flags the fit converged; when the sweep budget runs out first,
 the last pair comes back flagged unconverged. The objective the rule reads
 costs no pass over the tensor: with W orthonormal,
 ||A - Q x1 W||^2 = ||A||^2 - 2 <W, G> + ||Q||^2, where G is the W-step's own
-slice correlation matrix and ||A||^2 is taken once per fit.
+slice correlation matrix, ||Q||^2 is the sum of the kept eigenvalues' squares
+and ||A||^2 is taken once per fit.
 
-A Q-step projects its group slices one after another on the calling thread,
-with whatever BLAS threads the caller runs, each into the slice buffer of the
-mode-1 product it came from, so a sweep holds one M x n x n stack. The fit
-does not keep the previous sweep's Q either: the step rule's return rebuilds
-it from the kept eigenpairs each slice's :class:`alma.linalg.Certificate`
-carries.
+Each group's core Q_m is held as its K_m kept eigenpairs
+(:class:`alma.linalg.EigPairs`), never as an n x n slice. A Q-step projects
+the group slices of one mode-1 product one after another on the calling
+thread, with whatever BLAS threads the caller runs, and the product goes when
+the step returns. The W-step reads G[l, m] = sum_i lambda_i v_i^T A_l v_i off
+one batched product of A with the kept vectors, and a step-rule stop returns
+the previous sweep's pairs as they are.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
@@ -45,23 +47,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
-from .linalg import (
-    Certificate,
-    _from_pairs,
-    _lanczos_applies,
-    polar_project,
-    rank_project,
-    warm_start,
-)
-from .tensors import (
-    Tensor3,
-    _product_store,
-    mode1_matricize,
-    mode1_product,
-    mode23_product,
-)
+from .linalg import Certificate, _from_pairs, _lanczos_applies, polar_project, rank_project
+from .tensors import Tensor3, mode1_matricize, mode1_product
 
 # Largest relative fall of the objective in one sweep that ends a fit. At
 # 1e-5 scenario-1 fits stop at sweeps 3-32 and lose accuracy; at 1e-7 about
@@ -78,7 +68,8 @@ class AlmaConfig:
 
     ``eps_stop`` is the step rule's tolerance on ||W_t - W_{t-1}||_F; any
     positive value also turns on the objective rule (see the module
-    docstring), and 0 runs the full ``max_iter`` budget with neither test.
+    docstring), and 0 runs the full ``max_iter`` budget with neither test,
+    even where W repeats exactly.
     ``record_trace`` keeps the objective after every half-step.
     """
 
@@ -97,12 +88,13 @@ class AlmaConfig:
 class FactorPair:
     """A fitted (W, Q) pair plus fit metadata.
 
-    ``objective_trace`` (when recorded) holds the objective after every
-    half-step, so two entries per executed sweep.
+    ``q`` holds one :class:`alma.linalg.EigPairs` per group, so that
+    Q_m = V diag(values) V^T. ``objective_trace`` (when recorded) holds the
+    objective after every half-step, so two entries per executed sweep.
     """
 
     w: np.ndarray
-    q: Tensor3
+    q: tuple
     objective_trace: list = field(default_factory=list)
     iters_used: int = 0
     converged: bool = False
@@ -112,29 +104,34 @@ class FactorPair:
     final_step: float = float("nan")
 
 
-def objective(a: Tensor3, q: Tensor3, w: np.ndarray) -> float:
-    """Frobenius norm of A - Q x1 W^T, accumulated one layer at a time."""
+def objective(a: Tensor3, q, w: np.ndarray) -> float:
+    """Frobenius norm of A - Q x1 W^T, accumulated one layer at a time.
+
+    ``q`` holds each group's eigenpairs, densified here.
+    """
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (a.dims[0], q.dims[0]):
+    if w.shape != (a.dims[0], len(q)):
         raise ValueError(f"layer factor shape {w.shape} does not match (L, M)")
-    qmat = mode1_matricize(q)
+    # Q is symmetric, so its rows stack into the same vector as its columns
+    qmat = np.stack([_from_pairs(pairs) for pairs in q]).reshape(len(q), -1)
     sq = np.empty(len(w))
     for l, row in enumerate(mode1_matricize(a)):
         resid = row - w[l] @ qmat
-        sq[l] = resid @ resid
+        # not BLAS's dot, whose sum over a long vector splits by thread count
+        sq[l] = np.einsum("i,i->", resid, resid)
     return float(np.sqrt(sq.sum()))
 
 
-def _objective_after_w_step(a: Tensor3, a_sq: float, q: Tensor3, w: np.ndarray,
+def _objective_after_w_step(a: Tensor3, a_sq: float, q, w: np.ndarray,
                             g: np.ndarray) -> float:
-    """:func:`objective` from ``a_sq`` = ||A||^2 and the W-step's G = mode23_product(a, q).
+    """:func:`objective` from ``a_sq`` = ||A||^2 and the W-step's G.
 
-    ``w`` has orthonormal columns, so ||Q x1 W||^2 = ||Q||^2 and no pass over
-    A is needed, unless the objective is so small next to ||A|| that the
-    expansion cancels.
+    ``w`` has orthonormal columns, so ||Q x1 W||^2 = ||Q||^2, the sum of the
+    kept eigenvalues' squares, and no pass over A is needed, unless the
+    objective is so small next to ||A|| that the expansion cancels.
     """
-    qmat = mode1_matricize(q).reshape(-1)
-    f_sq = a_sq - 2.0 * float(np.vdot(w, g)) + float(qmat @ qmat)
+    q_sq = sum(float(values @ values) for values, _ in q)
+    f_sq = a_sq - 2.0 * float(np.vdot(w, g)) + q_sq
     if f_sq < _CANCELLATION_FRAC * a_sq:
         return objective(a, q, w)
     return float(np.sqrt(f_sq))
@@ -179,21 +176,21 @@ class _CarriedStart(NamedTuple):
     """A Q-step's start as :func:`alma_fit` carries it from sweep to sweep."""
 
     # per slice, a Certificate keyed by its W column, or None; each holds the
-    # slice's next Lanczos start and its last kept eigenpairs
+    # slice's next Lanczos start
     certs: tuple
     drift: _SliceDrift | None  # None when no slice is on the Lanczos path
 
 
 def q_update(a: Tensor3, w: np.ndarray, ranks,
-             start: _CarriedStart | None = None) -> Tensor3:
-    """Optimal rank-constrained Q for fixed orthonormal W.
+             start: _CarriedStart | None = None) -> tuple:
+    """Optimal rank-constrained Q for fixed orthonormal W, as one
+    :class:`alma.linalg.EigPairs` per group.
 
     Slice m is the W(:, m)-weighted sum of adjacency slices, truncated to its
     ``ranks[m]`` largest-magnitude eigencomponents. ``start`` is what
     :func:`alma_fit` carries from sweep to sweep: each slice's certificate,
     which the projections refresh in place, down to the Lanczos start of the
-    next call, taken from this call's projection. It changes only how the
-    eigenpairs are found, not the result.
+    next call. It changes only how the eigenpairs are found, not the result.
     """
     L, n, n2 = a.dims
     if n != n2:
@@ -206,45 +203,37 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
     if len(certs) != m or any(cert is not None and cert.v0 is not None
                               and np.shape(cert.v0) != (n,) for cert in certs):
         raise ValueError(f"start does not match {m} slices of {n} x {n}")
-    # each slice is projected in place in the product's own buffer
-    store = _product_store(mode1_product(a, w.T), a)
+    sums = mode1_product(a, w.T)
+    q = []
     for j, (k, cert) in enumerate(zip(ranks, certs)):
-        k = int(k)
         if cert is not None:
             cert.key = w[:, j].copy()
             if cert.ref is not None:
                 cert.drift = drift(cert.key - cert.ref)
-        store[j] = rank_project(store[j].T, k, start=cert).T
-        if cert is not None:
-            # from the stored view: an array of another layout would sum the
-            # start's matrix-vector product in another order
-            cert.v0 = warm_start(store[j].T, k)
-    return Tensor3._wrap(store)
+        q.append(rank_project(sums.slice(j), int(k), start=cert))
+    return tuple(q)
 
 
-def _kept(q: Tensor3, certs) -> tuple:
-    """What rebuilds ``q`` after its certificates move on: per slice the kept
-    eigenpairs, or a copy of an identity projection (rank n)."""
-    return tuple(q.slice(j).copy() if cert.kept is None else cert.kept
-                 for j, cert in enumerate(certs))
+def _slice_correlations(a: Tensor3, q) -> np.ndarray:
+    """G[l, m] = <A_l, Q_m> = sum_i lambda_i v_i^T A_l v_i over Q_m's eigenpairs.
 
-
-def _rebuilt(kept, n: int) -> Tensor3:
-    """The Q of :func:`_kept`'s slices, bit for bit as :func:`rank_project` built it."""
-    store = np.empty((len(kept), n, n))
-    for j, piece in enumerate(kept):
-        if isinstance(piece, np.ndarray):
-            store[j] = piece.T
-        else:
-            store[j] = _from_pairs(piece).T
-    return Tensor3._wrap(store)
-
-
-def w_update(a: Tensor3, q: Tensor3) -> np.ndarray:
-    """Optimal orthonormal W for fixed Q: polar factor of the slice correlations."""
-    if a.dims[1:] != q.dims[1:]:
+    One batched product of every slice of A with all groups' kept vectors.
+    """
+    if any(vectors.shape[0] != a.dims[1] for _, vectors in q):
         raise ValueError("adjacency and core slices must share node dims")
-    return polar_project(mode23_product(a, q))
+    vectors = np.concatenate([v for _, v in q], axis=1)
+    # A's own buffer holds each A_l transposed, which leaves v^T A_l v alone
+    # and multiplies faster than the (L, n, n) view
+    stack = mode1_matricize(a).reshape(a.dims)
+    # quad[l, i] = v_i^T A_l v_i, summed per group with weights lambda_i
+    quad = np.einsum("lri,ri->li", np.matmul(stack, vectors), vectors)
+    return quad @ block_diag(*(values[:, None] for values, _ in q))
+
+
+def w_update(a: Tensor3, q) -> np.ndarray:
+    """Optimal orthonormal W for fixed Q (one eigenpair set per group): polar
+    factor of the slice correlations."""
+    return polar_project(_slice_correlations(a, q))
 
 
 def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaConfig()) -> FactorPair:
@@ -260,8 +249,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
         raise ValueError("w_init columns must match the number of ranks")
 
     trace: list = []
-    kept_prev = None  # what rebuilds the previous sweep's Q
-    q = None
+    q = q_prev = None
     w = w_prev
     converged = False
     iters = 0
@@ -276,29 +264,28 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
     drift = _SliceDrift(a) if any(_lanczos_applies(n, k) for k in ranks) else None
     start = _CarriedStart(certs, drift)
     for sweep in range(1, config.max_iter + 1):
-        q = None  # the last Q goes before the next one is built
         q = q_update(a, w_prev, ranks, start=start)
         if config.record_trace:
             trace.append(objective(a, q, w_prev))
         # the W-step, with G kept for the objective rule
-        g = mode23_product(a, q)
+        g = _slice_correlations(a, q)
         try:
             w = polar_project(g)
         except RankDeficientError as exc:
             raise DegenerateIterateError(sweep, exc) from exc
         if config.record_trace:
             trace.append(objective(a, q, w))
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mode1_matricize(q)))):
+        if not (np.all(np.isfinite(w))
+                and all(np.all(np.isfinite(v)) and np.all(np.isfinite(lam)) for lam, v in q)):
             raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
         if trace and not np.isfinite(trace[-1]):
             raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
         iters = sweep
         step = float(np.linalg.norm(w - w_prev))
-        if step <= config.eps_stop:
+        if config.eps_stop > 0.0 and step <= config.eps_stop:
             converged = True
             if sweep > 1:
-                q = None
-                q, w = _rebuilt(kept_prev, n), w_prev
+                q, w = q_prev, w_prev
             break
         if a_sq is not None:
             f = _objective_after_w_step(a, a_sq, q, w, g)
@@ -308,7 +295,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
                 converged = True
                 break
             f_prev = f
-        kept_prev, w_prev = _kept(q, certs), w
+        q_prev, w_prev = q, w
 
     return FactorPair(
         w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged,

@@ -102,9 +102,7 @@ def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
     """Multiply along mode 1: result slice j = sum_i a[j, i] * x slice i.
 
     ``a`` has shape (m, d1); the result has dims (m, d2, d3) and satisfies
-    ``mode1_matricize(result) == a @ mode1_matricize(x)``. The result is built
-    on a new buffer, never on ``x``'s, so :func:`_product_store` may hand it
-    out for writing.
+    ``mode1_matricize(result) == a @ mode1_matricize(x)``.
     """
     a = np.asarray(a, dtype=np.float64)
     d1, d2, d3 = x.dims
@@ -112,20 +110,6 @@ def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
         raise ValueError(f"left factor shape {a.shape} does not match mode-1 dim {d1}")
     store = np.tensordot(a, x._store, axes=(1, 0))
     return Tensor3._wrap(store)
-
-
-def _product_store(product: Tensor3, x: Tensor3) -> np.ndarray:
-    """The store of ``product``, a fresh :func:`mode1_product` of ``x``, made writable.
-
-    For a caller that holds the only reference to ``product`` and overwrites
-    it in place; slice j is held transposed, as in every :class:`Tensor3`.
-    Raises if the store could overlap ``x``'s, which writing would corrupt.
-    """
-    store = product._store
-    if np.may_share_memory(store, x._store):
-        raise ValueError("the product's buffer overlaps its operand's")
-    store.setflags(write=True)
-    return store
 
 
 def mode23_product(x: Tensor3, y: Tensor3) -> np.ndarray:

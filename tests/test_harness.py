@@ -186,7 +186,7 @@ def test_elbow_single_group_closed_form():
     a = gt.p_star
     rows = elbow_scan(a, [1], 2, master_seed=3)
     core = a.array.sum(axis=0) / math.sqrt(9.0)
-    kept = rank_project((core + core.T) / 2.0, 2)
+    kept = rank_project((core + core.T) / 2.0, 2).values
     expect = math.sqrt(
         np.linalg.norm(a.array) ** 2 - np.linalg.norm(kept) ** 2
     )

@@ -14,7 +14,6 @@ from alma.linalg import (
     rank_project,
     svd_top_left,
     sym_eig_topk,
-    warm_start,
 )
 from conftest import make_noisy, make_truth
 
@@ -22,6 +21,15 @@ from conftest import make_noisy, make_truth
 def random_symmetric(n, seed):
     a = np.random.default_rng(seed).normal(size=(n, n))
     return (a + a.T) / 2.0
+
+
+def projection(a, k, **kwargs):
+    """The matrix of the eigenpairs :func:`rank_project` keeps."""
+    return linalg._from_pairs(rank_project(a, k, **kwargs))
+
+
+def same_pairs(p, q):
+    return np.array_equal(p.values, q.values) and np.array_equal(p.vectors, q.vectors)
 
 
 def test_topk_magnitude_ordering():
@@ -58,32 +66,34 @@ def test_canonical_signs_largest_entry_positive():
 
 
 def test_rank_project_keeps_largest_magnitude():
-    out = rank_project(np.diag([1.0, -5.0]), 1)
+    out = projection(np.diag([1.0, -5.0]), 1)
     assert np.allclose(out, np.diag([0.0, -5.0]))
-    out = rank_project(np.diag([3.0, 1.0]), 1)
+    out = projection(np.diag([3.0, 1.0]), 1)
     assert np.allclose(out, np.diag([3.0, 0.0]))
 
 
 def test_rank_project_full_rank_is_identity_map():
     a = random_symmetric(4, 8)
-    assert np.allclose(rank_project(a, 4), a, atol=1e-12)
+    assert np.allclose(projection(a, 4), a, atol=1e-12)
     with pytest.warns(RuntimeWarning):
-        out = rank_project(a, 9)
+        out = projection(a, 9)
     assert np.allclose(out, a, atol=1e-12)
 
 
 def test_full_rank_projection_never_returns_the_input_buffer():
+    # rank n keeps the full eigendecomposition, in sym_eig_topk's order
     a = random_symmetric(4, 8)
     for x in (a, np.asfortranarray(a)):
         out = rank_project(x, 4)
-        assert np.array_equal(out, a)
-        assert not np.shares_memory(out, x)
+        assert same_pairs(out, sym_eig_topk(a, 4))
+        assert not np.shares_memory(out.vectors, x)
 
 
 def test_nearly_symmetric_input_is_symmetrised():
     a = random_symmetric(4, 9)
     a[0, 1] += 1e-12
-    assert np.array_equal(rank_project(a, 4), (a + a.T) / 2.0)
+    for k in (2, 4):
+        assert same_pairs(rank_project(a, k), rank_project((a + a.T) / 2.0, k))
 
 
 @settings(max_examples=30, deadline=None)
@@ -91,8 +101,8 @@ def test_nearly_symmetric_input_is_symmetrised():
 def test_rank_project_idempotent(n, seed):
     a = random_symmetric(n, seed)
     k = max(1, n - 2)
-    once = rank_project(a, k)
-    assert np.allclose(rank_project(once, k), once, atol=1e-9)
+    once = projection(a, k)
+    assert np.allclose(projection(once, k), once, atol=1e-9)
 
 
 def brute_force_best_subset(a, k):
@@ -113,7 +123,7 @@ def test_rank_project_is_frobenius_optimal():
     for seed in range(20):
         a = random_symmetric(5, seed)
         for k in (1, 2, 3):
-            assert np.allclose(rank_project(a, k), brute_force_best_subset(a, k), atol=1e-9)
+            assert np.allclose(projection(a, k), brute_force_best_subset(a, k), atol=1e-9)
 
 
 # Below LANCZOS_MIN_N, rank_project finds only the kept eigenpairs (dsytrd,
@@ -140,7 +150,7 @@ def assert_matches_eigh(a, k):
     assert np.allclose(np.sort(np.abs(values))[::-1], mags[:k], rtol=1e-12,
                        atol=1e-12 * mags[0])
     if mags[k - 1] - mags[k] > 1e-9 * mags[0]:
-        got = rank_project(a, k)
+        got = projection(a, k)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.allclose(vectors.T @ vectors, np.eye(k), atol=1e-12)
 
@@ -203,7 +213,7 @@ def test_rank_project_matches_eigh_when_both_ends_cover_the_spectrum(n):
 ])
 def test_rank_project_keeps_the_dense_tie_rule_on_diagonal_ties(lam, k, kept):
     a = np.diag(lam)
-    out = rank_project(a, k)
+    out = projection(a, k)
     assert np.array_equal(out, eigh_projection(a, k)[0])
     assert sorted(np.diag(out)[np.diag(out) != 0.0]) == sorted(kept)
 
@@ -316,6 +326,13 @@ def fresh_certificate(v0):
     return cert
 
 
+def start_after(prev, k):
+    """A certificate that holds the Lanczos start a projection of ``prev`` leaves, and no proof."""
+    cert = linalg.Certificate()
+    rank_project(prev, k, start=cert)
+    return fresh_certificate(cert.v0)
+
+
 def rotated_spectrum(values, seed):
     n = LANCZOS_MIN_N
     lam = np.concatenate([values, np.linspace(-1.0, 1.0, n - len(values))])
@@ -326,9 +343,9 @@ def rotated_spectrum(values, seed):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_warm_rank_project_matches_dense(k, eigsh_calls):
     s = sbm_aggregate(60, 8)
-    start = fresh_certificate(warm_start(rank_project(sbm_aggregate(60, 6), k), k))
-    dense = rank_project(s, k)
-    warm = rank_project(s, k, start=start)
+    start = start_after(sbm_aggregate(60, 6), k)
+    dense = projection(s, k)
+    warm = projection(s, k, start=start)
     assert eigsh_calls == [k]
     assert not np.array_equal(warm, dense)  # certified Lanczos pairs, not the fallback
     assert np.linalg.norm(warm - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -342,9 +359,9 @@ def test_column_major_slice_projects_to_the_same_bits(eigsh_calls):
     core = mode1_product(a, w.T)
     s = core.slice(0)
     assert s.flags.f_contiguous and not s.flags.c_contiguous
-    v0 = warm_start(rank_project(np.ascontiguousarray(core.slice(1)), 3), 3)
+    v0 = start_after(np.ascontiguousarray(core.slice(1)), 3).v0
     warm = rank_project(np.ascontiguousarray(s), 3, start=fresh_certificate(v0))
-    assert np.array_equal(rank_project(s, 3, start=fresh_certificate(v0)), warm)
+    assert same_pairs(rank_project(s, 3, start=fresh_certificate(v0)), warm)
     assert eigsh_calls == [3, 3]
 
 
@@ -355,8 +372,8 @@ def test_warm_start_in_the_wrong_subspace_still_matches_dense(k, eigsh_calls):
     top = 10.0 - np.arange(k, dtype=float)
     s, u, lam = rotated_spectrum(np.concatenate([top, -top / 1.001]), 61)
     wrong = (u[:, k:2 * k] * lam[k:2 * k]) @ u[:, k:2 * k].T
-    dense = rank_project(s, k)
-    warm = rank_project(s, k, start=fresh_certificate(warm_start(wrong, k)))
+    dense = projection(s, k)
+    warm = projection(s, k, start=start_after(wrong, k))
     assert eigsh_calls == [k]
     assert np.linalg.norm(warm - dense) <= 1e-10 * np.linalg.norm(dense)
 
@@ -364,9 +381,9 @@ def test_warm_start_in_the_wrong_subspace_still_matches_dense(k, eigsh_calls):
 def test_magnitude_tie_at_rank_k_keeps_the_dense_tie_rule(eigsh_calls):
     lam = np.concatenate([[9.0, 7.0, 5.0, -5.0], np.linspace(-1.0, 1.0, LANCZOS_MIN_N - 4)])
     s = np.diag(lam)
-    out = rank_project(s, 3, start=fresh_certificate(warm_start(rank_project(s, 3), 3)))
+    out = projection(s, 3, start=start_after(s, 3))
     assert eigsh_calls == [3]
-    assert np.array_equal(out, rank_project(s, 3))
+    assert np.array_equal(out, projection(s, 3))
     assert np.array_equal(np.diag(out)[:4], [9.0, 7.0, 0.0, -5.0])
 
 
@@ -376,15 +393,20 @@ def test_lanczos_no_convergence_falls_back_to_dense(monkeypatch):
 
     monkeypatch.setattr(linalg, "eigsh", fail)
     s = sbm_aggregate(62, 8)
-    start = fresh_certificate(warm_start(rank_project(s, 2), 2))
-    assert np.array_equal(rank_project(s, 2, start=start), rank_project(s, 2))
+    start = start_after(s, 2)
+    assert same_pairs(rank_project(s, 2, start=start), rank_project(s, 2))
 
 
 def test_warm_start_only_above_the_crossover():
-    assert warm_start(np.eye(LANCZOS_MIN_N - 1), 1) is None
-    assert warm_start(np.eye(LANCZOS_MIN_N), LANCZOS_MIN_N // 2) is None
-    v0 = warm_start(np.eye(LANCZOS_MIN_N), 2)
-    assert v0.shape == (LANCZOS_MIN_N,)
+    # a projection leaves a Lanczos start only where the next call can use it
+    for n, k in ((LANCZOS_MIN_N - 1, 1), (LANCZOS_MIN_N, LANCZOS_MIN_N // 2)):
+        assert start_after(random_symmetric(n, 99), k).v0 is None
+    # the start is the kept part's image of a fixed unit r, normalized, plus 1e-3 r
+    s = random_symmetric(LANCZOS_MIN_N, 99)
+    r = linalg._fixed_unit(LANCZOS_MIN_N)
+    image = projection(s, 2) @ r
+    v0 = start_after(s, 2).v0
+    assert np.allclose(v0, image / np.linalg.norm(image) + 1e-3 * r, rtol=0, atol=1e-12)
 
 
 # A Certificate carries the proof of one projection to the next, nearby slice.
@@ -406,8 +428,7 @@ def seeded_certificate(s, k):
     """A certificate seeded from the dense eigensolve of ``s``, as a fit's first sweep does."""
     cert = linalg.Certificate()
     cert.key = s
-    prev = rank_project(s, k, start=cert)
-    cert.v0 = warm_start(prev, k)
+    rank_project(s, k, start=cert)  # leaves its Lanczos start in cert
     return cert
 
 
@@ -443,9 +464,9 @@ def test_carried_certificate_recertifies_once_the_slice_moves_past_its_margin(
         moved = scaled_bulk(u, lam, k, drift / (2.0 * bulk))
         move_to(cert, s, moved)
         cholesky_calls.clear()
-        out = rank_project(moved, k, start=cert)
+        out = projection(moved, k, start=cert)
         assert len(cholesky_calls) == factorizations
-        dense = rank_project(moved, k)
+        dense = projection(moved, k)
         assert np.linalg.norm(out - dense) <= 1e-10 * np.linalg.norm(dense)
         # the proof now covers the moved slice, with margin left to carry
         assert (cert.ref is moved) == (factorizations > 0)
@@ -466,8 +487,8 @@ def test_carried_certificate_rejects_pairs_that_miss_an_eigenvalue_that_moved_in
     monkeypatch.setattr(linalg, "eigsh", lambda *args, **kwargs: (lam[:k], u[:, :k]))
     out = rank_project(moved, k, start=cert)
     assert cholesky_calls  # the margin ran out, so the pairs were tested
-    assert np.allclose(np.sort(np.linalg.eigvalsh(out))[-k:], [8.5, 9.0, 10.0], atol=1e-9)
-    assert np.array_equal(out, rank_project(moved, k))
+    assert np.allclose(np.sort(out.values), [8.5, 9.0, 10.0], atol=1e-9)
+    assert same_pairs(out, rank_project(moved, k))
 
 
 def test_carried_certificate_checks_each_ritz_value_against_its_vector(
@@ -482,4 +503,4 @@ def test_carried_certificate_checks_each_ritz_value_against_its_vector(
     monkeypatch.setattr(linalg, "eigsh", lambda *args, **kwargs: (lam[:k], wrong))
     out = rank_project(s, k, start=cert)
     assert cholesky_calls
-    assert np.array_equal(out, rank_project(s, k))
+    assert same_pairs(out, rank_project(s, k))

@@ -14,8 +14,9 @@ from alma.linalg import (
     sym_eig_topk,
 )
 from alma.metrics import score_result
+from alma.model import assemble_ground_truth
 from alma.clustering import cluster_factor_pair
-from alma.sampling import substream
+from alma.sampling import sample_instance, substream
 from alma.solver import (
     OBJECTIVE_RTOL,
     AlmaConfig,
@@ -25,8 +26,8 @@ from alma.solver import (
     q_update,
     w_update,
 )
-from alma.tensors import Tensor3, mode1_matricize, mode1_product, mode23_product
-from conftest import make_noisy, make_truth, traced_peak
+from alma.tensors import Tensor3, mode1_matricize, mode1_product
+from conftest import core_pairs, dense_core, make_noisy, make_truth, traced_peak
 
 
 def test_config_validation():
@@ -38,9 +39,9 @@ def test_config_validation():
 
 def test_objective_zero_on_exact_factorization():
     _, gt = make_truth(40, n=12, L=8, m=2, k=2)
-    q = gt.q_star
+    q = core_pairs(gt.q_star_full, (2, 2))
     w = gt.w_star
-    assert objective(mode1_product(q, w), q, w) <= 1e-12
+    assert objective(mode1_product(dense_core(q), w), q, w) <= 1e-12
 
 
 def test_objective_matches_the_full_tensor_residual():
@@ -48,7 +49,7 @@ def test_objective_matches_the_full_tensor_residual():
     _, _, a = make_noisy(54, n=20, L=9, m=2, k=2)
     w = np.linalg.qr(np.random.default_rng(54).normal(size=(9, 2)))[0]
     q = q_update(a, w, (2, 2))
-    ref = np.linalg.norm(a.array - mode1_product(q, w).array)
+    ref = np.linalg.norm(a.array - mode1_product(dense_core(q), w).array)
     assert abs(objective(a, q, w) - ref) <= 1e-12 * ref
     with pytest.raises(ValueError):
         objective(a, q, w[:, :1])
@@ -60,7 +61,8 @@ def test_q_update_fixed_point_on_exact_rank_core():
     inst, gt = make_truth(41, n=16, L=10, m=2, k=3, p_max=0.8, alpha=0.4)
     a = mode1_product(gt.q_star_full, gt.w_star)
     q = q_update(a, gt.w_star, inst.K)
-    assert np.allclose(q.array, gt.q_star_full.array, atol=1e-8)
+    assert all(isinstance(pairs, linalg.EigPairs) for pairs in q)
+    assert np.allclose(dense_core(q).array, gt.q_star_full.array, atol=1e-8)
 
 
 def test_q_update_single_group_formula():
@@ -72,7 +74,8 @@ def test_q_update_single_group_formula():
     summed = a.array.sum(axis=0) / np.sqrt(6.0)
     pairs = sym_eig_topk(summed, 2, by_magnitude=True)
     manual = pairs.vectors @ np.diag(pairs.values) @ pairs.vectors.T
-    assert np.allclose(q.slice(0), manual, atol=1e-10)
+    assert np.allclose(linalg._from_pairs(q[0]), manual, atol=1e-10)
+    assert np.allclose(q[0].values, pairs.values, rtol=1e-12)
 
 
 def test_q_update_checks_orthonormality():
@@ -87,7 +90,8 @@ def test_q_update_checks_orthonormality():
 def test_w_update_recovers_truth():
     inst, gt = make_truth(44, n=16, L=12, m=2, k=3, p_max=0.8, alpha=0.4)
     a = mode1_product(gt.q_star, gt.w_star)
-    w = w_update(a, gt.q_star)
+    # hollow slices are not low rank: hand over every eigenpair
+    w = w_update(a, core_pairs(gt.q_star, (16, 16)))
     assert np.allclose(w.T @ w, np.eye(2), atol=1e-12)
     assert np.allclose(w, gt.w_star, atol=1e-8)
 
@@ -266,8 +270,8 @@ def test_q_update_rejects_mismatched_start():
     pytest.param(6, (2, 6), id="identity-slice"),
 ])
 def test_step_rule_returns_the_previous_sweeps_q_bit_for_bit(eigsh_calls, n, ranks):
-    # the fit keeps no dense Q from sweep to sweep; a step-rule stop rebuilds
-    # the earlier one from its eigenpairs, or from a copy of a rank-n slice
+    # the fit keeps the previous sweep's eigenpairs, and a step-rule stop
+    # returns them as they are
     _, _, a = make_noisy(58, n=n, L=8, m=2, k=2, p_max=0.6, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(58).normal(size=(8, 2)))[0]
     steps = [alma_fit(a, ranks, w0, AlmaConfig(eps_stop=0.0, max_iter=t)).final_step
@@ -276,25 +280,81 @@ def test_step_rule_returns_the_previous_sweeps_q_bit_for_bit(eigsh_calls, n, ran
     fit = alma_fit(a, ranks, w0, AlmaConfig(eps_stop=steps[2]))
     before = alma_fit(a, ranks, w0, AlmaConfig(eps_stop=0.0, max_iter=2))
     assert (fit.iters_used, fit.stop_reason) == (3, "converged")
-    assert fit.q == before.q
+    for got, want, k in zip(fit.q, before.q, ranks):
+        assert got.vectors.shape == (n, k)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
     assert np.array_equal(fit.w, before.w)
     # the Q returned from the Lanczos path is one a warm Q-step found
     assert bool(eigsh_calls) == (n >= LANCZOS_MIN_N)
 
 
+def test_zero_tolerance_runs_the_budget_when_w_repeats_exactly(monkeypatch):
+    # noiseless single-group fits can reach a W that repeats bit for bit
+    # within a few sweeps; that is still no stop at eps_stop = 0
+    ws, repeated = [], []
+
+    def spy(g):
+        ws.append(polar_project(g))
+        return ws[-1]
+
+    monkeypatch.setattr(solver, "polar_project", spy)
+    for seed in range(3):
+        inst = sample_instance(60, 12, 2, 2, 0.6, 0.5, substream(seed, 0))
+        a = assemble_ground_truth(inst).p_star
+        w1 = spectral_init(a, 1, substream(seed, 2))
+        ws.clear()
+        fit = alma_fit(a, (2,), w1, AlmaConfig(eps_stop=0.0, max_iter=50))
+        repeated.append(any(np.array_equal(u, v) for u, v in zip(ws, ws[1:])))
+        assert (fit.iters_used, fit.converged, fit.stop_reason) == (50, False, "budget")
+    assert any(repeated)
+
+
+def test_dense_path_sweeps_never_densify_q(monkeypatch):
+    # below LANCZOS_MIN_N nothing in a sweep builds an n x n Q slice: the
+    # W-step, the objective rule and the step rule all read the eigenpairs
+    calls = []
+    real = linalg._from_pairs
+
+    def spy(pairs):
+        calls.append(len(pairs.values))
+        return real(pairs)
+
+    monkeypatch.setattr(linalg, "_from_pairs", spy)
+    monkeypatch.setattr(solver, "_from_pairs", spy)
+    a, w1 = scenario_one_fit_inputs()
+    assert a.dims[1] < LANCZOS_MIN_N
+    fit = alma_fit(a, (3, 3, 3), w1)
+    assert fit.stop_reason == "converged" and fit.iters_used > 2
+    assert [pairs.vectors.shape for pairs in fit.q] == [(100, 3)] * 3
+    assert calls == []
+    objective(a, fit.q, fit.w)
+    assert calls == [3, 3, 3]
+
+
+def test_rank_n_slices_hold_the_full_eigendecomposition():
+    _, _, a = make_noisy(59, n=6, L=8, m=2, k=2, p_max=0.6, alpha=0.5)
+    w = np.linalg.qr(np.random.default_rng(59).normal(size=(8, 2)))[0]
+    q = q_update(a, w, (2, 6))
+    full = mode1_product(a, w.T).slice(1)
+    assert q[1].vectors.shape == (6, 6)
+    assert np.allclose(linalg._from_pairs(q[1]), full, atol=1e-12)
+    assert np.array_equal(q[1].values, sym_eig_topk(full, 6).values)
+
+
 def test_a_fit_holds_one_q_stack_at_a_time():
     # Gate on the traced peak of a 5-sweep fit, in units of one n x n slice:
-    # the M x n x n stack each Q-step projects in place, the dense kernel's
-    # few n x n buffers and no more. A fit that also held the previous
-    # sweep's Q and a second output stack peaked at 10.05 units here, this
-    # one at 7.07.
+    # the M x n x n mode-1 product each Q-step projects, two n x n buffers
+    # of the dense kernel or the certificate, and no more. This fit peaked at
+    # 5.15 units; one that kept four kernel buffers at 7.07, and one that
+    # also held the previous sweep's Q and a second output stack at 10.05.
     n, m = 300, 3
     _, _, a = make_noisy(57, n=n, L=12, m=m, k=3, p_max=0.5, alpha=0.5)
     w1 = spectral_init(a, m, substream(57, 2))
     ranks = (3,) * m
     alma_fit(a, ranks, w1, AlmaConfig(eps_stop=0.0, max_iter=2))  # first-call caches
     peak = traced_peak(lambda: alma_fit(a, ranks, w1, AlmaConfig(eps_stop=0.0, max_iter=5)))
-    assert peak <= (m + 5) * n * n * 8
+    assert peak <= (m + 2.5) * n * n * 8
 
 
 def test_fit_projects_every_slice_on_the_calling_thread(monkeypatch):
@@ -372,7 +432,7 @@ def test_objective_from_the_w_step_matches_the_residual(monkeypatch, n):
     start = solver._CarriedStart((Certificate(), Certificate()), solver._SliceDrift(a))
     for _ in range(3):
         q = q_update(a, w, (2, 2), start=start)
-        g = mode23_product(a, q)
+        g = solver._slice_correlations(a, q)
         w = polar_project(g)
         ref = objective(a, q, w)
         assert abs(solver._objective_after_w_step(a, a_sq, q, w, g) - ref) <= 1e-12 * ref
@@ -384,7 +444,7 @@ def test_objective_near_zero_is_taken_from_the_residual():
     inst, gt = make_truth(63, n=24, L=12, m=2, k=2, p_max=0.8, alpha=0.4)
     a = mode1_product(gt.q_star_full, gt.w_star)
     q = q_update(a, gt.w_star, inst.K)
-    g = mode23_product(a, q)
+    g = solver._slice_correlations(a, q)
     w = polar_project(g)
     amat = mode1_matricize(a).reshape(-1)
     got = solver._objective_after_w_step(a, float(amat @ amat), q, w, g)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from alma.tensors import (
     Tensor3,
-    _product_store,
     frobenius_norm,
     mode1_dematricize,
     mode1_matricize,
@@ -90,17 +89,6 @@ def test_mode1_product_matches_matrix_unfolding(t, rows, seed):
     out = mode1_product(t, a)
     assert out.dims == (rows, t.dims[1], t.dims[2])
     assert np.allclose(mode1_matricize(out), a @ mode1_matricize(t), atol=1e-12)
-
-
-def test_writing_the_product_store_leaves_the_operand_alone():
-    arr = np.random.default_rng(3).normal(size=(3, 4, 4))
-    t = Tensor3(arr)
-    store = _product_store(mode1_product(t, np.eye(3)), t)
-    store[...] = 0.0
-    assert np.array_equal(t.array, arr)
-    # a store that overlaps the operand is never handed out for writing
-    with pytest.raises(ValueError, match="overlaps"):
-        _product_store(t, t)
 
 
 def test_mode23_product_hand_value():
