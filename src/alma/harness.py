@@ -26,7 +26,7 @@ from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
 from .solver import AlmaConfig, alma_fit, objective
-from .tensors import Tensor3
+from .tensors import Tensor3, mode1_matricize
 from .twist import twist_fit
 
 METHODS = ("alma", "twist")
@@ -171,8 +171,9 @@ def fit_method(
     """Fit one method from a layer-factor warm start and extract its labels.
 
     ``method`` is ``"alma"`` (alternating sweeps) or ``"twist"`` (the Tucker
-    baseline, warm-started with the top ``twist_r`` eigenvectors of the layer
-    sum). Labels come from :func:`cluster_factor_pair` on stream
+    baseline, warm-started with the HOSVD node factor: the top ``twist_r``
+    eigenvectors of sum_l A_l^2, as De Lathauwer, De Moor & Vandewalle 2000
+    take it). Labels come from :func:`cluster_factor_pair` on stream
     ``substream(*seed_path, 3)`` for alma and ``substream(*seed_path, 4)`` for
     twist. Returns ``(result, iters, converged, fit)``, where ``fit`` is the
     alma :class:`FactorPair` and None for twist. Twist has no stop test and
@@ -186,7 +187,11 @@ def fit_method(
         return res, fit.iters_used, fit.converged, fit
     if method != "twist":
         raise ValueError(f"unknown method {method!r}")
-    u0 = sym_eig_topk(a.array.sum(axis=0), twist_r, by_magnitude=True).vectors
+    # the HOSVD node factor: top eigenvectors of sum_l A_l^2, the mode-2
+    # unfolding times its transpose; A's buffer, read as (L n, n) rows, is
+    # that unfolding transposed
+    unfolding_t = mode1_matricize(a).reshape(-1, a.dims[1])
+    u0 = sym_eig_topk(unfolding_t.T @ unfolding_t, twist_r).vectors
     _, w_hat = twist_fit(a, u0, w_init, iter_max=twist_iter_max)
     res = cluster_factor_pair(
         a, w_hat, ranks, substream(*seed_path, _STAGE_TWIST_CLUSTER), restarts=restarts

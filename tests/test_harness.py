@@ -99,6 +99,16 @@ def test_run_single_honors_method_filter():
     assert [r.method for r in recs] == ["alma"]
 
 
+def test_twist_recovers_layers_at_the_dense_endpoint():
+    # scenario 1 at p=1.0, where alma is exact (acceptance 02): twist started
+    # from the HOSVD node factor recovers the layers too. Started from the
+    # layer sum's eigenvectors it sat at chance here, mean R_BL 0.564.
+    cfg = scenario_config(1, replicates=20, master_seed=0, methods=("twist",))
+    assert cfg.grid[7] == pytest.approx(1.0)
+    r_bl = [run_single(cfg, 7, rep)[0].r_bl for rep in range(cfg.replicates)]
+    assert np.mean(r_bl) <= 0.02
+
+
 def test_run_scenario_thread_count_is_invisible():
     k1 = run_scenario(tiny_cfg(replicates=2))
     k2 = run_scenario(tiny_cfg(replicates=2, threads=2))
