@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import RankDeficientError
@@ -310,6 +310,20 @@ def _sytrd_lwork(n: int) -> int:
     if info != 0:
         raise np.linalg.LinAlgError(f"dsytrd_lwork failed with info={info}")
     return max(int(work), n)
+
+
+def _quadratic_forms(mats, vectors: np.ndarray) -> np.ndarray:
+    """``out[l, i] = v_i^T M_l v_i`` over the matrices ``M_l`` of ``mats`` and
+    the columns ``v_i`` of ``vectors``.
+
+    The products run on one thread of scipy's OpenBLAS: numpy's, at n=450
+    and up, splits a product of this shape by its thread count and moves
+    its last bits, and with them a fit's.
+    """
+    vectors = np.asfortranarray(vectors)
+    with _scipy_blas_on_one_thread():
+        prods = np.stack([blas.dgemm(1.0, m, vectors) for m in mats])
+    return np.einsum("lri,ri->li", prods, vectors)
 
 
 def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False):

@@ -47,10 +47,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
-from .linalg import Certificate, _from_pairs, _lanczos_applies, polar_project, rank_project
+from .linalg import (
+    Certificate,
+    _from_pairs,
+    _lanczos_applies,
+    _quadratic_forms,
+    polar_project,
+    rank_project,
+)
 from .tensors import Tensor3, mode1_matricize, mode1_product
 
 # Largest relative fall of the objective in one sweep that ends a fit. At
@@ -217,17 +223,15 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
 def _slice_correlations(a: Tensor3, q) -> np.ndarray:
     """G[l, m] = <A_l, Q_m> = sum_i lambda_i v_i^T A_l v_i over Q_m's eigenpairs.
 
-    One batched product of every slice of A with all groups' kept vectors.
+    One product of every slice of A with all groups' kept vectors.
     """
     if any(vectors.shape[0] != a.dims[1] for _, vectors in q):
         raise ValueError("adjacency and core slices must share node dims")
     vectors = np.concatenate([v for _, v in q], axis=1)
-    # A's own buffer holds each A_l transposed, which leaves v^T A_l v alone
-    # and multiplies faster than the (L, n, n) view
-    stack = mode1_matricize(a).reshape(a.dims)
-    # quad[l, i] = v_i^T A_l v_i, summed per group with weights lambda_i
-    quad = np.einsum("lri,ri->li", np.matmul(stack, vectors), vectors)
-    return quad @ block_diag(*(values[:, None] for values, _ in q))
+    values = np.concatenate([lam for lam, _ in q])
+    # terms[l, i] = lambda_i v_i^T A_l v_i, then summed over each group's columns
+    terms = _quadratic_forms(a.array, vectors) * values
+    return np.add.reduceat(terms, np.cumsum([0] + [len(lam) for lam, _ in q[:-1]]), axis=1)
 
 
 def w_update(a: Tensor3, q) -> np.ndarray:

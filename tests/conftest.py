@@ -7,7 +7,6 @@ from scipy.sparse.linalg import eigsh
 from alma import linalg
 from alma.model import MmlsbmInstance, assemble_ground_truth, planted_connectivity
 from alma.sampling import sample_adjacency, sample_instance, substream
-from alma.tensors import Tensor3
 
 
 def make_truth(seed, n=30, L=12, m=2, k=2, p_max=0.7, alpha=0.5):
@@ -40,16 +39,6 @@ def make_noisy(seed, **kw):
     inst, gt = make_truth(seed, **kw)
     adj = sample_adjacency(gt, substream(seed, 1))
     return inst, gt, adj
-
-
-def core_pairs(core: Tensor3, ranks) -> tuple:
-    """The eigenpairs of each slice of a dense core, truncated to its rank."""
-    return tuple(linalg.rank_project(core.slice(m), k) for m, k in enumerate(ranks))
-
-
-def dense_core(q) -> Tensor3:
-    """The M x n x n core whose slices the eigenpairs of ``q`` spell out."""
-    return Tensor3(np.stack([linalg._from_pairs(pairs) for pairs in q]))
 
 
 def traced_peak(fn) -> int:

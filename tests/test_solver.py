@@ -27,7 +27,17 @@ from alma.solver import (
     w_update,
 )
 from alma.tensors import Tensor3, mode1_matricize, mode1_product
-from conftest import core_pairs, dense_core, make_noisy, make_truth, traced_peak
+from conftest import make_noisy, make_truth, traced_peak
+
+
+def core_pairs(core: Tensor3, ranks) -> tuple:
+    """The eigenpairs of each slice of a dense core, truncated to its rank."""
+    return tuple(rank_project(core.slice(m), k) for m, k in enumerate(ranks))
+
+
+def dense_core(q) -> Tensor3:
+    """The M x n x n core whose slices the eigenpairs of ``q`` spell out."""
+    return Tensor3(np.stack([linalg._from_pairs(pairs) for pairs in q]))
 
 
 def test_config_validation():
