@@ -15,7 +15,8 @@ from ``LANCZOS_MIN_N`` nodes up, where the certificate needs
 :func:`sym_eig_topk`, and back-transforms only those k vectors (``dormqr``),
 all on one thread of the OpenBLAS that scipy bundles apart from numpy's.
 scipy's LAPACK wrappers hold the GIL, so threads do not overlap the dense
-kernel.
+kernel. The W-step's quadratic forms v^T A_l v (``_quadratic_forms``) run on
+that one thread too, so that no result depends on numpy's thread count.
 
 :func:`rank_project` can also take a warm start, a :class:`Certificate`. From
 ``LANCZOS_MIN_N`` nodes up every call leaves in it the next call's Lanczos

@@ -30,8 +30,8 @@ Each group's core Q_m is held as its K_m kept eigenpairs
 the group slices of one mode-1 product one after another on the calling
 thread, with whatever BLAS threads the caller runs, and the product goes when
 the step returns. The W-step reads G[l, m] = sum_i lambda_i v_i^T A_l v_i off
-one batched product of A with the kept vectors, and a step-rule stop returns
-the previous sweep's pairs as they are.
+the products of A's slices with the kept vectors, and a step-rule stop
+returns the previous sweep's pairs as they are.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
