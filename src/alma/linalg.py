@@ -26,6 +26,12 @@ Lanczos for the top-k pairs and keeps them only after an exact certificate
 magnitude; otherwise, and below the crossover, it runs the dense kernel. The
 :class:`Certificate` carries the last proof to the next, nearby slice, so
 that most warm calls keep their Lanczos pairs with no factorization at all.
+The Lanczos path runs on one thread of scipy's OpenBLAS too: its
+matrix-vector product is ``dsymv`` on one triangle of the slice, which at
+n=600 stays in a core's L2 cache where a general product does not, and
+``dpotrf`` factors the certificate's one n x n buffer in place. On scipy's
+default two threads its calls contend with numpy's pool, and fits ran
+slower than with numpy's general product.
 
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
 so concurrent worker processes can each run single-threaded BLAS instead of
@@ -47,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 from scipy.linalg import blas, lapack
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import RankDeficientError
 
@@ -209,7 +215,8 @@ def _ritz_radius(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
     eta = np.linalg.norm(v.T @ v - np.eye(k)) + n * _EPS
     if eta >= 0.5:
         return np.inf
-    resid = np.linalg.norm(a @ v - v * w)
+    # a is symmetric, so its transpose is the same matrix in Fortran order
+    resid = np.linalg.norm(blas.dsymm(1.0, a.T, v, lower=1) - v * w)
     return (resid / np.sqrt(1.0 - eta)
             + 2.0 * np.sqrt(1.0 + eta) * float(np.abs(w).max()) * eta / (1.0 - eta))
 
@@ -220,26 +227,57 @@ def _from_pairs(pairs) -> np.ndarray:
     return (v * w) @ v.T
 
 
+def _positive_definite(f: np.ndarray, lower: bool) -> bool:
+    """Whether the symmetric matrix in one triangle of ``f`` is positive definite.
+
+    ``f`` is Fortran-ordered; ``dpotrf`` reads the ``lower`` (else upper)
+    triangle, overwrites it with its Cholesky factor, or part of one, and
+    leaves the other triangle alone. Raises ``LinAlgError`` on a bad argument.
+    """
+    _, info = lapack.dpotrf(f, lower=lower, clean=0, overwrite_a=1)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info={info}")
+    return info == 0
+
+
 def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> bool:
     """Whether every eigenvalue of R = A - V diag(w) V^T lies in (-t, t).
 
     True exactly when tI - R and tI + R are both positive definite, which
-    two Cholesky factorizations decide.
+    two Cholesky factorizations decide. Both use one n x n buffer: the first
+    factors one triangle of tI - R, the second the other triangle, negated,
+    with the diagonal of tI + R put back from a saved copy.
     """
     n = a.shape[0]
-    # tI - R, then tI + R = 2tI - (tI - R) in the same buffer
     buf = _from_pairs((w, v))
     buf -= a
     diag = buf.reshape(-1)[:: n + 1]
     diag += t
-    try:
-        np.linalg.cholesky(buf)
-        np.negative(buf, out=buf)
-        diag += 2.0 * t
-        np.linalg.cholesky(buf)
-    except np.linalg.LinAlgError:
+    saved = diag.copy()
+    # the transpose of C-ordered buf is Fortran-ordered; its upper triangle
+    # is buf's lower one
+    if not _positive_definite(buf.T, lower=False):
         return False
-    return True
+    # tI + R = 2tI - (tI - R); the factored triangle is read no more
+    np.negative(buf, out=buf)
+    np.subtract(2.0 * t, saved, out=diag)
+    return _positive_definite(buf.T, lower=True)
+
+
+class _SymmetricMatvec(LinearOperator):
+    """``x -> A x`` by ``dsymv`` on one triangle of a symmetric ``A``.
+
+    It reads half the matrix that a general matrix-vector product reads, so
+    that at n=600 the operand stays in a core's L2 cache.
+    """
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(dtype=np.float64, shape=a.shape)
+        # a is symmetric, so its transpose is the same matrix in Fortran order
+        self._f = a.T
+
+    def _matvec(self, x):
+        return blas.dsymv(1.0, self._f, x, lower=1)
 
 
 def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
@@ -257,10 +295,14 @@ def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
     ``a`` is proved again at a t inside the gap below |w_k|
     (``RECERTIFY_FRAC``), which proves more than t just below |w_k| and
     leaves margin to carry; failing that, at t just below |w_k|.
+
+    Its BLAS and LAPACK calls go to scipy's OpenBLAS; :func:`rank_project`
+    runs it on one thread of that pool.
     """
     n = a.shape[0]
     try:
-        w, v = eigsh(a, k=k, which="LM", v0=cert.v0, ncv=max(2 * k + 1, 10), tol=0)
+        w, v = eigsh(_SymmetricMatvec(a), k=k, which="LM", v0=cert.v0,
+                     ncv=max(2 * k + 1, 10), tol=0)
     except ArpackError:
         return None
     order = np.argsort(-np.abs(w), kind="stable")
@@ -396,7 +438,8 @@ def rank_project(a: np.ndarray, k: int, start: Certificate | None = None) -> Eig
     lanczos = start is not None and _lanczos_applies(n, k)
     pairs = None
     if lanczos and start.v0 is not None:
-        pairs = _certified_topk(a, k, start)
+        with _scipy_blas_on_one_thread():
+            pairs = _certified_topk(a, k, start)
     if pairs is None:
         # from the crossover up every dense call finds |lambda_{k+1}|, so that a
         # Lanczos fallback returns the same bits as a call without a start

@@ -15,6 +15,9 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from scipy.linalg import blas
+
+from .linalg import _scipy_blas_on_one_thread
 
 _MAGIC_F64 = b"MLT3"
 _MAGIC_U8 = b"MLT" + bytes([ord("3") | 0x80])
@@ -102,12 +105,19 @@ def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
     """Multiply along mode 1: result slice j = sum_i a[j, i] * x slice i.
 
     ``a`` has shape (m, d1); the result has dims (m, d2, d3) and satisfies
-    ``mode1_matricize(result) == a @ mode1_matricize(x)``.
+    ``mode1_matricize(result) == a @ mode1_matricize(x)``. A one-row ``a``
+    runs on one thread of scipy's OpenBLAS: numpy's matrix-vector product
+    of this shape moves its last bits with numpy's thread count.
     """
     a = np.asarray(a, dtype=np.float64)
     d1, d2, d3 = x.dims
     if a.ndim != 2 or a.shape[1] != d1:
         raise ValueError(f"left factor shape {a.shape} does not match mode-1 dim {d1}")
+    if len(a) == 1:
+        with _scipy_blas_on_one_thread():
+            # the transpose of the C-ordered unfolding is Fortran-ordered: no copy
+            row = blas.dgemv(1.0, mode1_matricize(x).T, a[0])
+        return Tensor3._wrap(row.reshape(1, d3, d2))
     store = np.tensordot(a, x._store, axes=(1, 0))
     return Tensor3._wrap(store)
 

@@ -41,6 +41,24 @@ def make_noisy(seed, **kw):
     return inst, gt, adj
 
 
+needs_blas_pin = pytest.mark.skipif(linalg.pin_blas_threads is None,
+                                    reason="numpy's OpenBLAS thread count cannot be set")
+
+
+def at_one_and_two_blas_threads(fn) -> tuple:
+    """``fn()`` run with numpy's OpenBLAS on one thread, then on two.
+
+    Puts back the thread count it found.
+    """
+    found = linalg.pin_blas_threads(1)
+    try:
+        one = fn()
+        linalg.pin_blas_threads(2)
+        return one, fn()
+    finally:
+        linalg.pin_blas_threads(found)
+
+
 def traced_peak(fn) -> int:
     """Bytes that ``fn()`` holds at its peak beyond what was allocated before it.
 
@@ -70,4 +88,18 @@ def eigsh_calls(monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "eigsh", spy)
+    return calls
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """The shape of every Cholesky factorization rank_project's certificate runs while the test runs."""
+    calls = []
+    real = linalg._positive_definite
+
+    def spy(f, lower):
+        calls.append(f.shape)
+        return real(f, lower)
+
+    monkeypatch.setattr(linalg, "_positive_definite", spy)
     return calls

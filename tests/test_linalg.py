@@ -15,7 +15,13 @@ from alma.linalg import (
     svd_top_left,
     sym_eig_topk,
 )
-from conftest import make_noisy, make_truth
+from conftest import (
+    at_one_and_two_blas_threads,
+    make_noisy,
+    make_truth,
+    needs_blas_pin,
+    traced_peak,
+)
 
 
 def random_symmetric(n, seed):
@@ -387,6 +393,18 @@ def test_magnitude_tie_at_rank_k_keeps_the_dense_tie_rule(eigsh_calls):
     assert np.array_equal(np.diag(out)[:4], [9.0, 7.0, 0.0, -5.0])
 
 
+@needs_blas_pin
+def test_warm_rank_project_does_not_depend_on_the_blas_thread_count(eigsh_calls):
+    _, _, a = make_noisy(67, n=600, L=8, m=1, k=3, p_max=0.6, alpha=0.5)
+    s = a.array.sum(axis=0)
+    v0 = start_after(a.array[:6].sum(axis=0), 3).v0
+    one, two = at_one_and_two_blas_threads(
+        lambda: rank_project(s, 3, start=fresh_certificate(v0)))
+    assert eigsh_calls == [3, 3]
+    assert same_pairs(one, two)
+    assert not same_pairs(one, rank_project(s, 3))  # the Lanczos pairs, not the fallback
+
+
 def test_lanczos_no_convergence_falls_back_to_dense(monkeypatch):
     def fail(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
@@ -435,19 +453,6 @@ def seeded_certificate(s, k):
 def move_to(cert, s, moved):
     # the caller's part: name the next slice and bound how far it moved
     cert.key, cert.drift = moved, np.linalg.norm(moved - s)
-
-
-@pytest.fixture
-def cholesky_calls(monkeypatch):
-    calls = []
-    real = np.linalg.cholesky
-
-    def spy(x):
-        calls.append(x.shape)
-        return real(x)
-
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
-    return calls
 
 
 def test_carried_certificate_recertifies_once_the_slice_moves_past_its_margin(
@@ -504,3 +509,56 @@ def test_carried_certificate_checks_each_ritz_value_against_its_vector(
     out = rank_project(s, k, start=cert)
     assert cholesky_calls
     assert same_pairs(out, rank_project(s, k))
+
+
+# The certificate's Cholesky factorizations
+
+
+def residual_case(seed):
+    """A slice A, Ritz-like pairs (w, V) and R = A - V diag(w) V^T."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    k = int(rng.integers(1, 4))
+    a = random_symmetric(n, seed)
+    v = np.linalg.qr(rng.normal(size=(n, k)))[0]
+    w = rng.normal(scale=3.0, size=k)
+    return a, w, v, a - linalg._from_pairs((w, v))
+
+
+def test_residual_test_agrees_with_the_spectrum_of_r():
+    for seed in range(300):
+        a, w, v, r = residual_case(seed)
+        norm = np.abs(np.linalg.eigvalsh(r)).max()
+        assert linalg._residual_within(a, w, v, norm * (1.0 + 1e-6))
+        assert not linalg._residual_within(a, w, v, norm * (1.0 - 1e-6))
+
+
+def test_residual_test_factors_in_place():
+    n = 300
+    a = random_symmetric(n, 3)
+    v = np.linalg.qr(np.random.default_rng(3).normal(size=(n, 3)))[0]
+    w = np.array([9.0, -8.0, 7.0])
+    t = np.abs(np.linalg.eigvalsh(a - linalg._from_pairs((w, v)))).max() * 1.01
+    peak = traced_peak(lambda: linalg._residual_within(a, w, v, t))
+    # the one n x n buffer tI - R, then tI + R, and no copy for the factorizations
+    assert peak <= 1.1 * n * n * 8
+
+
+def test_positive_definite_reads_one_triangle_and_leaves_the_other():
+    lower = np.array([[4.0, 9.0], [1.0, 4.0]])  # PD below the diagonal, not above
+    f = np.asfortranarray(lower)
+    upper = f[0, 1]
+    assert linalg._positive_definite(f, lower=True)
+    assert f[0, 1] == upper
+    assert not linalg._positive_definite(np.asfortranarray(lower), lower=False)
+
+
+def test_positive_definite_raises_on_a_bad_argument(monkeypatch):
+    class BadLapack:
+        @staticmethod
+        def dpotrf(f, **kwargs):
+            return f, -4
+
+    monkeypatch.setattr(linalg, "lapack", BadLapack)
+    with pytest.raises(np.linalg.LinAlgError, match="info=-4"):
+        linalg._positive_definite(np.eye(3, order="F"), lower=True)
