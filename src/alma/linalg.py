@@ -47,7 +47,7 @@ import os
 import threading
 import warnings
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -130,7 +130,8 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if np.array_equal(a, a.T):
-        # already exact; a C-contiguous result keeps gemv's summation order
+        # already exact; C-contiguous, so that a.T is the same matrix in
+        # Fortran order for scipy's BLAS and LAPACK, with no copy
         return a.T if a.flags.f_contiguous else np.ascontiguousarray(a)
     norm = np.linalg.norm(a)
     if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * norm:
@@ -264,22 +265,6 @@ def _residual_within(a: np.ndarray, w: np.ndarray, v: np.ndarray, t: float) -> b
     return _positive_definite(buf.T, lower=True)
 
 
-class _SymmetricMatvec(LinearOperator):
-    """``x -> A x`` by ``dsymv`` on one triangle of a symmetric ``A``.
-
-    It reads half the matrix that a general matrix-vector product reads, so
-    that at n=600 the operand stays in a core's L2 cache.
-    """
-
-    def __init__(self, a: np.ndarray):
-        super().__init__(dtype=np.float64, shape=a.shape)
-        # a is symmetric, so its transpose is the same matrix in Fortran order
-        self._f = a.T
-
-    def _matvec(self, x):
-        return blas.dsymv(1.0, self._f, x, lower=1)
-
-
 def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
     """Top-k Lanczos pairs (values, vectors) started at ``cert.v0``, or None when uncertified.
 
@@ -300,9 +285,13 @@ def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
     runs it on one thread of that pool.
     """
     n = a.shape[0]
+    # x -> A x by dsymv on one triangle: half the reads of a general product,
+    # so that at n=600 the slice stays in a core's L2 cache. a is symmetric,
+    # so its transpose is the same matrix in Fortran order.
+    matvec = LinearOperator(a.shape, matvec=partial(blas.dsymv, 1.0, a.T, lower=1),
+                            dtype=np.float64)
     try:
-        w, v = eigsh(_SymmetricMatvec(a), k=k, which="LM", v0=cert.v0,
-                     ncv=max(2 * k + 1, 10), tol=0)
+        w, v = eigsh(matvec, k=k, which="LM", v0=cert.v0, ncv=max(2 * k + 1, 10), tol=0)
     except ArpackError:
         return None
     order = np.argsort(-np.abs(w), kind="stable")

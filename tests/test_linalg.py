@@ -359,7 +359,8 @@ def test_warm_rank_project_matches_dense(k, eigsh_calls):
 
 def test_column_major_slice_projects_to_the_same_bits(eigsh_calls):
     # the Q-step passes column-major views of W-weighted slice sums, as
-    # Tensor3 stores them; gemv must see them in row-major order
+    # Tensor3 stores them; the Lanczos path must give them the bits of a
+    # row-major copy
     _, _, a = make_noisy(63, n=LANCZOS_MIN_N + 10, L=8, m=1, k=3, p_max=0.6, alpha=0.5)
     w = np.linalg.qr(np.random.default_rng(63).normal(size=(8, 2)))[0]
     core = mode1_product(a, w.T)
