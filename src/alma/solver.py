@@ -29,9 +29,10 @@ Each group's core Q_m is held as its K_m kept eigenpairs
 (:class:`alma.linalg.EigPairs`), never as an n x n slice. A Q-step projects
 the group slices of one mode-1 product one after another on the calling
 thread, each on one thread of scipy's OpenBLAS (see :mod:`alma.linalg`), and
-the product goes when the step returns. The W-step reads G[l, m] = sum_i lambda_i v_i^T A_l v_i off
-the products of A's slices with the kept vectors, and a step-rule stop
-returns the previous sweep's pairs as they are.
+the product goes when the step returns. The W-step reads
+G[l, m] = sum_i lambda_i v_i^T A_l v_i off the products of A's slices with
+the kept vectors, and a step-rule stop returns the previous sweep's pairs as
+they are.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the

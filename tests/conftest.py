@@ -93,7 +93,7 @@ def eigsh_calls(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """The shape of every Cholesky factorization rank_project's certificate runs while the test runs."""
+    """The shape of every Cholesky factorization a certificate runs while the test runs."""
     calls = []
     real = linalg._positive_definite
 

@@ -24,7 +24,7 @@ from alma.sampling import substream
 from alma.solver import alma_fit
 from alma.tensors import Tensor3, mode1_product
 from alma.linalg import rank_project
-from conftest import make_noisy, make_truth
+from conftest import at_one_and_two_blas_threads, make_noisy, make_truth, needs_blas_pin
 
 
 def tiny_cfg(**overrides):
@@ -296,19 +296,12 @@ def fitting_threads(monkeypatch):
     return seen
 
 
-@pytest.mark.skipif(harness.pin_blas_threads is None,
-                    reason="numpy's OpenBLAS thread count cannot be set")
+@needs_blas_pin
 @pytest.mark.parametrize("n", [30, 450])
 def test_elbow_rows_do_not_depend_on_the_blas_thread_count(n):
     # at n=450 every candidate fit's warm Q-steps are on the Lanczos path
     a = elbow_input(n=n)
-    found = harness.pin_blas_threads(1)
-    try:
-        one = elbow_table(scan(a))
-        harness.pin_blas_threads(2)
-        two = elbow_table(scan(a))
-    finally:
-        harness.pin_blas_threads(found)
+    one, two = at_one_and_two_blas_threads(lambda: elbow_table(scan(a)))
     assert [row[0] for row in one] == [1, 2, 3, 4]
     assert two == one
 
