@@ -139,6 +139,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _write_output(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` and a newline to ``name`` in ``out_dir``, which is made if
+    missing; returns the file's path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return path
+
+
 def _add_fit(sub):
     p = sub.add_parser("fit", help="fit one adjacency tensor")
     p.add_argument("--input", help="binary tensor file")
@@ -233,14 +243,7 @@ def _cmd_fit(args) -> int:
         payload.update(objective=objective(a, fit.q, fit.w), stop_reason=fit.stop_reason,
                        final_step=fit.final_step)
     text = json.dumps(payload, indent=1)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "fit.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(path)
-    else:
-        print(text)
+    print(_write_output(args.out, "fit.json", text) if args.out else text)
     return 0
 
 
@@ -395,11 +398,7 @@ def _cmd_elbow(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "elbow.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(path)
+        print(_write_output(args.out, "elbow.csv", text))
     return 0
 
 
@@ -428,14 +427,7 @@ def _cmd_diagnostics(args) -> int:
         "span_residuals": list(report.span_residuals),
     }
     text = json.dumps(payload, indent=1)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "diagnostics.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(path)
-    else:
-        print(text)
+    print(_write_output(args.out, "diagnostics.json", text) if args.out else text)
     return 0
 
 

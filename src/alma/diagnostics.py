@@ -27,6 +27,8 @@ from .model import GroundTruth
 from .tensors import frobenius_norm, mode23_product
 
 _DROP_FACTOR = 1e-10
+# check_a1's bound on a relative singular value or span residual
+_A1_TOL = 1e-8
 
 
 def _structural_projectors(gt: GroundTruth, ranks):
@@ -161,7 +163,7 @@ class A1Report:
         return all(self.a1a) and all(self.a1b)
 
 
-def check_a1(gt: GroundTruth, ranks, tol: float = 1e-8) -> A1Report:
+def check_a1(gt: GroundTruth, ranks) -> A1Report:
     """Rank and span identifiability checks for every group."""
     m_groups, n, _ = gt.q_star_full.dims
     slices, bases, perps = _structural_projectors(gt, ranks)
@@ -177,7 +179,7 @@ def check_a1(gt: GroundTruth, ranks, tol: float = 1e-8) -> A1Report:
             )
             sv = np.linalg.svd(stacked, compute_uv=False)
             rel = float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
-            a1a.append(bool(sv[0] > 0.0 and rel > tol))
+            a1a.append(bool(sv[0] > 0.0 and rel > _A1_TOL))
             mins.append(rel)
         if not others:
             a1b.append(True)
@@ -189,6 +191,6 @@ def check_a1(gt: GroundTruth, ranks, tol: float = 1e-8) -> A1Report:
             span = u[:, keep]
             resid_mat = bases[m] - span @ (span.T @ bases[m])
             rel = float(np.linalg.norm(resid_mat) / np.sqrt(bases[m].shape[1]))
-            a1b.append(bool(rel > tol))
+            a1b.append(bool(rel > _A1_TOL))
             resids.append(rel)
     return A1Report(tuple(a1a), tuple(a1b), tuple(mins), tuple(resids))

@@ -6,17 +6,18 @@ so that its largest-magnitude coordinate is positive (lowest index wins a
 tie). Given equal inputs the outputs are bit-identical, which is what the
 reproducibility contract of the harness leans on.
 
-:func:`rank_project` returns only the eigenpairs it keeps, as
-:class:`EigPairs`; ``_from_pairs`` is the one place that densifies them. Its
-dense kernel tridiagonalizes once (LAPACK ``dsytrd``), takes the k lowest and
-k highest eigenpairs of the tridiagonal by MRRR (``dstemr``; k+1 at each end
-from ``LANCZOS_MIN_N`` nodes up, where the certificate needs
-|lambda_{k+1}|), picks the k largest in magnitude by the same stable rule as
-:func:`sym_eig_topk`, and back-transforms only those k vectors (``dormqr``),
-all on one thread of the OpenBLAS that scipy bundles apart from numpy's.
-scipy's LAPACK wrappers hold the GIL, so threads do not overlap the dense
-kernel. The W-step's quadratic forms v^T A_l v (``_quadratic_forms``) run on
-that one thread too, so that no result depends on numpy's thread count.
+One dense kernel serves every eigenproblem: :func:`sym_eig_topk` and
+:func:`rank_project` return only the eigenpairs they keep, as
+:class:`EigPairs`, which only ``_from_pairs`` densifies. The kernel
+tridiagonalizes once (LAPACK ``dsytrd``), takes by MRRR (``dstemr``) the k
+highest eigenpairs of the tridiagonal, or by magnitude the k lowest and k
+highest (k+1 at each end from ``LANCZOS_MIN_N`` nodes up, where the
+certificate needs |lambda_{k+1}|), keeps k by a stable sort and
+back-transforms only those (``dormqr``), all on one thread of the OpenBLAS
+that scipy bundles apart from numpy's; its LAPACK wrappers hold the GIL, so
+threads cannot overlap the kernel. The W-step's quadratic forms v^T A_l v
+(``_quadratic_forms``) run on that one thread too, so that no result depends
+on numpy's thread count.
 
 :func:`rank_project` can also take a warm start, a :class:`Certificate`. From
 ``LANCZOS_MIN_N`` nodes up every call leaves in it the next call's Lanczos
@@ -58,7 +59,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from .errors import RankDeficientError
 
 SYMMETRY_RTOL = 1e-8
-# Smallest n at which warm-started Lanczos plus its certificate beats eigh.
+# Smallest n at which warm Lanczos plus its certificate beats the dense kernel.
 LANCZOS_MIN_N = 250
 # Where a re-certification puts its t between the estimate of |lambda_{k+1}|
 # and |theta_k|, as a fraction of that gap up from the estimate. Cholesky
@@ -144,18 +145,15 @@ def sym_eig_topk(a: np.ndarray, k: int, by_magnitude: bool = True) -> EigPairs:
 
     Ordered by decreasing |eigenvalue| when ``by_magnitude`` (ties keep
     ascending-value order, so the order is deterministic), else by decreasing
-    eigenvalue. Vectors are sign-canonicalized.
+    eigenvalue, equal ones in ascending order. Vectors are sign-canonicalized.
+    The pairs come from ``_kept_pairs``, the one dense kernel here.
     """
     a = _require_symmetric(a)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    # the full eigh, not rank_project's kernel: twist starts from these
-    # vectors, and its labels move after a start perturbation of about 1e-14
-    w, v = np.linalg.eigh(a)
-    key = -np.abs(w) if by_magnitude else -w
-    order = np.argsort(key, kind="stable")[:k]
-    return EigPairs(w[order].copy(), canonical_signs(v[:, order]))
+    w, v, _ = _kept_pairs(a, k, by_magnitude=by_magnitude)
+    return EigPairs(w, canonical_signs(v))
 
 
 def _lanczos_applies(n: int, k: int) -> bool:
@@ -358,22 +356,26 @@ def _quadratic_forms(mats, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("lri,ri->li", prods, vectors)
 
 
-def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False):
-    """The k largest-magnitude eigenpairs of ``a``, for 1 <= k < n.
+def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False, by_magnitude: bool = True):
+    """The k largest-magnitude (else largest) eigenpairs of ``a``, for 1 <= k <= n.
 
-    Returns ``(values, vectors, below)``. The pairs come in decreasing
-    |eigenvalue|, and of -lambda and lambda the first is -lambda, as a stable
-    sort of a full ``eigh``'s spectrum gives them. ``below`` is
-    |lambda_{k+1}| when ``with_below``, else None. ``a`` is tridiagonalized
-    once, T = Q^T A Q; MRRR finds T's j lowest and j highest eigenpairs (all
-    n when those overlap), among which are the j largest in magnitude, for
+    Returns ``(values, vectors, below)``, in the order a stable sort of a full
+    ``eigh``'s ascending spectrum gives: by decreasing |eigenvalue|, -lambda
+    before lambda, when ``by_magnitude``, else by decreasing eigenvalue.
+    ``below`` is |lambda_{k+1}| when ``with_below`` (by magnitude, k < n),
+    else None. ``a`` is tridiagonalized once, T = Q^T A Q; MRRR finds T's k
+    highest eigenpairs by value, or else its j lowest and j highest (all n
+    when those overlap), among which are the j largest in magnitude, for
     j = k, or k+1 with ``below``; and only the k kept vectors are multiplied
     by Q. Raises ``LinAlgError`` when a LAPACK routine fails or finds fewer
     pairs than asked for, as on a non-finite ``a``.
     """
     n = a.shape[0]
     j = k + 1 if with_below else k
-    ends = ((1, j), (n - j + 1, n)) if 2 * j < n else ((1, n),)
+    if not by_magnitude:
+        ends = ((n - k + 1, n),)
+    else:
+        ends = ((1, j), (n - j + 1, n)) if 2 * j < n else ((1, n),)
     with _scipy_blas_on_one_thread():
         # a is symmetric, so its transpose is the same matrix in Fortran order
         c, d, e, tau, info = lapack.dsytrd(a.T, lower=1, lwork=_sytrd_lwork(n))
@@ -392,15 +394,17 @@ def _kept_pairs(a: np.ndarray, k: int, with_below: bool = False):
             vectors.append(z[:, :found].copy())
             del z
         w = np.concatenate(values)
-        order = np.argsort(-np.abs(w), kind="stable")
+        order = np.argsort(-np.abs(w) if by_magnitude else -w, kind="stable")
         keep = order[:k]
         z = np.asfortranarray(np.concatenate(vectors, axis=1)[:, keep])
         # Q = H(1)...H(n-1) leaves the first coordinate alone; its reflectors
-        # sit below the subdiagonal, laid out as a QR factor of the trailing block
-        qz, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], 64 * k, overwrite_c=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
-    z[1:] = qz
+        # sit below the subdiagonal, laid out as a QR factor of the trailing
+        # block. At n = 1 there are none, and Q = I.
+        if n > 1:
+            qz, _, info = lapack.dormqr("L", "N", c[1:, :-1], tau, z[1:], 64 * k, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+            z[1:] = qz
     return w[keep], z, float(abs(w[order[k]])) if with_below else None
 
 

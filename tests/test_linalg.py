@@ -64,6 +64,53 @@ def test_topk_rejects_asymmetric():
         sym_eig_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def eigh_topk_values(a, k, by_magnitude):
+    """The oracle: the top k of a full ``np.linalg.eigh``, by a stable sort of its
+    ascending spectrum."""
+    w = np.linalg.eigh(a)[0]
+    order = np.argsort(-np.abs(w) if by_magnitude else -w, kind="stable")
+    return w[order[:k]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 39), st.integers(0, 10**6))
+def test_topk_matches_eigh_for_every_k_and_order(n, seed):
+    a = random_symmetric(n, seed)
+    scale = np.abs(np.linalg.eigvalsh(a)).max()
+    for by_magnitude in (True, False):
+        for k in range(1, n + 1):
+            pairs = sym_eig_topk(a, k, by_magnitude)
+            want = eigh_topk_values(a, k, by_magnitude)
+            assert np.allclose(pairs.values, want, rtol=0, atol=1e-12 * scale)
+            v = pairs.vectors
+            assert np.allclose(v.T @ v, np.eye(k), atol=1e-12)
+            assert np.linalg.norm(a @ v - v * pairs.values) <= 1e-12 * n * scale
+
+
+@pytest.mark.parametrize("a", [np.diag([1.0, -1.0, 1.0, -1.0]), np.zeros((3, 3))])
+def test_topk_keeps_the_eigh_tie_rule_on_tied_spectra(a):
+    # by magnitude -lambda comes before lambda; by value equal ones stay ascending
+    for by_magnitude in (True, False):
+        for k in range(1, a.shape[0] + 1):
+            pairs = sym_eig_topk(a, k, by_magnitude)
+            assert np.array_equal(pairs.values, eigh_topk_values(a, k, by_magnitude))
+            assert np.array_equal(pairs.vectors.T @ pairs.vectors, np.eye(k))
+
+
+def test_topk_of_a_one_by_one_matrix():
+    for pairs in (sym_eig_topk(np.array([[2.0]]), 1), rank_project(np.array([[2.0]]), 1)):
+        assert pairs.values.tolist() == [2.0] and pairs.vectors.tolist() == [[1.0]]
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("n", [300, 600])
+@pytest.mark.parametrize("by_magnitude", [True, False])
+def test_topk_does_not_depend_on_the_blas_thread_count(n, by_magnitude):
+    a = random_symmetric(n, n)
+    one, two = at_one_and_two_blas_threads(lambda: sym_eig_topk(a, 3, by_magnitude))
+    assert same_pairs(one, two)
+
+
 def test_canonical_signs_largest_entry_positive():
     v = np.array([[0.1, -0.9], [-0.9, 0.1]])
     out = canonical_signs(v.copy())
