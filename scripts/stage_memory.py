@@ -6,12 +6,12 @@
 Runs ``alma fit --input INPUT FIT_OPTION...`` under tracemalloc and prints,
 for each stage, the traced megabytes when it starts, at its peak and when it
 ends: ``read`` (the tensor file), ``init`` (the spectral start), ``fit`` (the
-alternating sweeps), ``clustering`` (the labels) and ``objective`` (the one
-the fit reports). The default options are the fit-large workload's, ``--groups
-3 --communities 3 --eps 0``; any option given replaces them all. The fit's
-JSON is discarded. tracemalloc sees numpy's array buffers but not what BLAS
-or LAPACK allocate for themselves; the last line is this process's max RSS,
-which counts everything.
+alternating sweeps, which also take the objective the fit reports) and
+``clustering`` (the labels). The default options are the fit-large
+workload's, ``--groups 3 --communities 3 --eps 0``; any option given replaces
+them all. The fit's JSON is discarded. tracemalloc sees numpy's array
+buffers but not what BLAS or LAPACK allocate for themselves; the last line is
+this process's max RSS, which counts everything.
 
 An input at the fit-large size comes from ``python3 bench/inputs.py fit-large
 SEED DIR`` (``DIR/adjacency.bin``) or from ``alma generate --n 600 --layers
@@ -35,7 +35,6 @@ STAGES = [
     ("init", cli, "spectral_init"),
     ("fit", harness, "alma_fit"),
     ("clustering", harness, "cluster_factor_pair"),
-    ("objective", cli, "objective"),
 ]
 
 

@@ -66,7 +66,7 @@ from .metrics import (
     within_layer_error,
 )
 from .initialization import clustering_to_w, spectral_init
-from .solver import AlmaConfig, FactorPair, alma_fit, objective, q_update, w_update
+from .solver import FactorPair, alma_fit, objective, q_update, w_update
 from .twist import regularize_rows, twist_fit
 from .diagnostics import (
     A1Report,

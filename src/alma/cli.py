@@ -36,7 +36,6 @@ from .sampling import (
     read_edge_list,
     write_edge_list,
 )
-from .solver import objective
 from .tensors import read_tensor, write_tensor
 
 
@@ -240,7 +239,7 @@ def _cmd_fit(args) -> int:
     if fit is None:
         payload["stop_reason"] = "budget"  # twist has no stop test
     else:
-        payload.update(objective=objective(a, fit.q, fit.w), stop_reason=fit.stop_reason,
+        payload.update(objective=fit.objective, stop_reason=fit.stop_reason,
                        final_step=fit.final_step)
     text = json.dumps(payload, indent=1)
     print(_write_output(args.out, "fit.json", text) if args.out else text)

@@ -25,7 +25,7 @@ from .linalg import pin_blas_threads, sym_eig_topk
 from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
-from .solver import AlmaConfig, alma_fit, objective
+from .solver import alma_fit
 from .tensors import Tensor3, mode1_matricize
 from .twist import twist_fit
 
@@ -177,10 +177,11 @@ def fit_method(
     ``substream(*seed_path, 3)`` for alma and ``substream(*seed_path, 4)`` for
     twist. Returns ``(result, iters, converged, fit)``, where ``fit`` is the
     alma :class:`FactorPair` and None for twist. Twist has no stop test and
-    always runs ``twist_iter_max`` sweeps, so its stop reason is ``"budget"``.
+    always runs ``twist_iter_max`` sweeps, so its stop reason is ``"budget"``
+    and, like any fit that runs its budget, it is flagged unconverged.
     """
     if method == "alma":
-        fit = alma_fit(a, ranks, w_init, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
+        fit = alma_fit(a, ranks, w_init, eps_stop=eps_stop, max_iter=max_iter)
         res = cluster_factor_pair(
             a, fit.w, ranks, substream(*seed_path, _STAGE_ALMA_CLUSTER), restarts=restarts
         )
@@ -196,7 +197,7 @@ def fit_method(
     res = cluster_factor_pair(
         a, w_hat, ranks, substream(*seed_path, _STAGE_TWIST_CLUSTER), restarts=restarts
     )
-    return res, twist_iter_max, True, None
+    return res, twist_iter_max, False, None
 
 
 def _failure_reason(exc: EstimationError) -> str:
@@ -335,8 +336,8 @@ def elbow_scan(
     for m in grid:
         try:
             w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT))
-            fit = alma_fit(a, (k,) * m, w1, AlmaConfig(eps_stop=eps_stop, max_iter=max_iter))
-            rows.append(ElbowRow(m, objective(a, fit.q, fit.w), fit.iters_used,
+            fit = alma_fit(a, (k,) * m, w1, eps_stop=eps_stop, max_iter=max_iter)
+            rows.append(ElbowRow(m, fit.objective, fit.iters_used,
                                  fit.converged, fit.stop_reason))
         except EstimationError as exc:
             rows.append(ElbowRow(m, float("nan"), 0, False, _failure_reason(exc)))

@@ -19,11 +19,15 @@ The sweep loop has two stop tests, both switched off by ``eps_stop = 0``:
   current one, which has the lowest objective.
 
 Either stop flags the fit converged; when the sweep budget runs out first,
-the last pair comes back flagged unconverged. The objective the rule reads
-costs no pass over the tensor: with W orthonormal,
+the last pair comes back flagged unconverged.
+
+The objective costs no pass over the tensor: with W orthonormal,
 ||A - Q x1 W||^2 = ||A||^2 - 2 <W, G> + ||Q||^2, where G is the W-step's own
 slice correlation matrix, ||Q||^2 is the sum of the kept eigenvalues' squares
-and ||A||^2 is taken once per fit.
+and ||A||^2 is taken once per fit. Both half-steps of a sweep read the same
+G (the Q-step's objective with the W it started from), so a fit keeps the
+objective after every half-step at O(LM) each, and reports the one of the
+pair it returns. :func:`objective` is the same expansion for any pair.
 
 Each group's core Q_m is held as its K_m kept eigenpairs
 (:class:`alma.linalg.EigPairs`), never as an n x n slice. A Q-step projects
@@ -69,39 +73,20 @@ OBJECTIVE_RTOL = 1e-6
 _CANCELLATION_FRAC = 1e-6
 
 
-@dataclass(frozen=True)
-class AlmaConfig:
-    """Sweep settings of :func:`alma_fit`.
-
-    ``eps_stop`` is the step rule's tolerance on ||W_t - W_{t-1}||_F; any
-    positive value also turns on the objective rule (see the module
-    docstring), and 0 runs the full ``max_iter`` budget with neither test,
-    even where W repeats exactly.
-    ``record_trace`` keeps the objective after every half-step.
-    """
-
-    eps_stop: float = 1e-4
-    max_iter: int = 100
-    record_trace: bool = False
-
-    def __post_init__(self):
-        if self.eps_stop < 0.0:
-            raise ValueError("eps_stop must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
 @dataclass
 class FactorPair:
     """A fitted (W, Q) pair plus fit metadata.
 
     ``q`` holds one :class:`alma.linalg.EigPairs` per group, so that
-    Q_m = V diag(values) V^T. ``objective_trace`` (when recorded) holds the
-    objective after every half-step, so two entries per executed sweep.
+    Q_m = V diag(values) V^T. ``objective_trace`` holds the objective after
+    every half-step, two entries per executed sweep, and ``objective`` that
+    of the returned pair: the last entry, or on a step-rule stop after sweep
+    1 the previous sweep's last.
     """
 
     w: np.ndarray
     q: tuple
+    objective: float = float("nan")
     objective_trace: list = field(default_factory=list)
     iters_used: int = 0
     converged: bool = False
@@ -112,26 +97,28 @@ class FactorPair:
 
 
 def objective(a: Tensor3, q, w: np.ndarray) -> float:
-    """Frobenius norm of A - Q x1 W^T, accumulated one layer at a time.
+    """Frobenius norm of A - Q x1 W^T for a layer factor with orthonormal
+    columns, from ||A||^2, G and ||Q||^2 as the module docstring sets out.
 
-    ``q`` holds each group's eigenpairs, densified here.
+    ``q`` holds each group's eigenpairs. This is the value :func:`alma_fit`
+    reports for its own pair, bit for bit.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (a.dims[0], len(q)):
+    w = _check_w(w, a.dims[0])
+    if w.shape[1] != len(q):
         raise ValueError(f"layer factor shape {w.shape} does not match (L, M)")
-    # Q is symmetric, so its rows stack into the same vector as its columns
-    qmat = np.stack([_from_pairs(pairs) for pairs in q]).reshape(len(q), -1)
-    sq = np.empty(len(w))
-    for l, row in enumerate(mode1_matricize(a)):
-        resid = row - w[l] @ qmat
-        # not BLAS's dot, whose sum over a long vector splits by thread count
-        sq[l] = np.einsum("i,i->", resid, resid)
-    return float(np.sqrt(sq.sum()))
+    return _expanded_objective(a, _squared_norm(a), q, w, _slice_correlations(a, q))
 
 
-def _objective_after_w_step(a: Tensor3, a_sq: float, q, w: np.ndarray,
-                            g: np.ndarray) -> float:
-    """:func:`objective` from ``a_sq`` = ||A||^2 and the W-step's G.
+def _squared_norm(a: Tensor3) -> float:
+    """||A||^2, summed without BLAS's dot, whose sum over a long vector
+    splits by thread count."""
+    amat = mode1_matricize(a).reshape(-1)
+    return float(np.einsum("i,i->", amat, amat))
+
+
+def _expanded_objective(a: Tensor3, a_sq: float, q, w: np.ndarray,
+                        g: np.ndarray) -> float:
+    """:func:`objective` from ``a_sq`` = ||A||^2 and G = <A_l, Q_m>.
 
     ``w`` has orthonormal columns, so ||Q x1 W||^2 = ||Q||^2, the sum of the
     kept eigenvalues' squares, and no pass over A is needed, unless the
@@ -140,8 +127,20 @@ def _objective_after_w_step(a: Tensor3, a_sq: float, q, w: np.ndarray,
     q_sq = sum(float(values @ values) for values, _ in q)
     f_sq = a_sq - 2.0 * float(np.vdot(w, g)) + q_sq
     if f_sq < _CANCELLATION_FRAC * a_sq:
-        return objective(a, q, w)
+        return _residual_objective(a, q, w)
     return float(np.sqrt(f_sq))
+
+
+def _residual_objective(a: Tensor3, q, w: np.ndarray) -> float:
+    """:func:`objective` accumulated from the residual one layer at a time,
+    with every Q slice densified."""
+    # Q is symmetric, so its rows stack into the same vector as its columns
+    qmat = np.stack([_from_pairs(pairs) for pairs in q]).reshape(len(q), -1)
+    sq = np.empty(len(w))
+    for l, row in enumerate(mode1_matricize(a)):
+        resid = row - w[l] @ qmat
+        sq[l] = np.einsum("i,i->", resid, resid)
+    return float(np.sqrt(sq.sum()))
 
 
 def _check_w(w: np.ndarray, L: int, tol: float = 1e-8) -> np.ndarray:
@@ -241,11 +240,22 @@ def w_update(a: Tensor3, q) -> np.ndarray:
     return polar_project(_slice_correlations(a, q))
 
 
-def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaConfig()) -> FactorPair:
-    """Run the alternating sweeps from an orthonormal warm start."""
+def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,
+             max_iter: int = 100) -> FactorPair:
+    """Run the alternating sweeps from an orthonormal warm start.
+
+    ``eps_stop`` is the step rule's tolerance on ||W_t - W_{t-1}||_F; any
+    positive value also turns on the objective rule (see the module
+    docstring), and 0 runs the full ``max_iter`` budget with neither test,
+    even where W repeats exactly.
+    """
     L, n, n2 = a.dims
     if n != n2:
         raise ValueError("adjacency slices must be square")
+    if eps_stop < 0.0:
+        raise ValueError("eps_stop must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     ranks = tuple(int(k) for k in ranks)
     if any(k < 1 or k > n for k in ranks):
         raise ValueError("every rank must lie in [1, n]")
@@ -253,56 +263,41 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, config: AlmaConfig = AlmaCon
     if w_prev.shape[1] != len(ranks):
         raise ValueError("w_init columns must match the number of ranks")
 
+    # max_iter >= 1, so the loop below sets every name the return reads
     trace: list = []
-    q = q_prev = None
-    w = w_prev
     converged = False
-    iters = 0
-    step = float("nan")
-    # the objective rule, like the step rule, is off at eps_stop = 0
-    a_sq = None
-    if config.eps_stop > 0.0:
-        amat = mode1_matricize(a).reshape(-1)
-        a_sq = float(amat @ amat)
-    f_prev = None
+    a_sq = _squared_norm(a)
     certs = tuple(Certificate() for _ in ranks)
     drift = _SliceDrift(a) if any(_lanczos_applies(n, k) for k in ranks) else None
     start = _CarriedStart(certs, drift)
-    for sweep in range(1, config.max_iter + 1):
+    for sweep in range(1, max_iter + 1):
         q = q_update(a, w_prev, ranks, start=start)
-        if config.record_trace:
-            trace.append(objective(a, q, w_prev))
-        # the W-step, with G kept for the objective rule
+        # the W-step, with G kept for both half-steps' objectives
         g = _slice_correlations(a, q)
         try:
             w = polar_project(g)
         except RankDeficientError as exc:
             raise DegenerateIterateError(sweep, exc) from exc
-        if config.record_trace:
-            trace.append(objective(a, q, w))
         if not (np.all(np.isfinite(w))
                 and all(np.all(np.isfinite(v)) and np.all(np.isfinite(lam)) for lam, v in q)):
             raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
-        if trace and not np.isfinite(trace[-1]):
+        f = _expanded_objective(a, a_sq, q, w, g)
+        trace += [_expanded_objective(a, a_sq, q, w_prev, g), f]
+        if not np.all(np.isfinite(trace[-2:])):
             raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
-        iters = sweep
         step = float(np.linalg.norm(w - w_prev))
-        if config.eps_stop > 0.0 and step <= config.eps_stop:
+        if eps_stop > 0.0 and step <= eps_stop:
             converged = True
             if sweep > 1:
-                q, w = q_prev, w_prev
+                q, w, f = q_prev, w_prev, f_prev
             break
-        if a_sq is not None:
-            f = _objective_after_w_step(a, a_sq, q, w, g)
-            if not np.isfinite(f):
-                raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
-            if f_prev is not None and f_prev - f <= OBJECTIVE_RTOL * f_prev:
-                converged = True
-                break
-            f_prev = f
-        q_prev, w_prev = q, w
+        if eps_stop > 0.0 and sweep > 1 and f_prev - f <= OBJECTIVE_RTOL * f_prev:
+            converged = True
+            break
+        q_prev, w_prev, f_prev = q, w, f
 
     return FactorPair(
-        w=w, q=q, objective_trace=trace, iters_used=iters, converged=converged,
-        stop_reason="converged" if converged else "budget", final_step=step,
+        w=w, q=q, objective=f, objective_trace=trace, iters_used=sweep,
+        converged=converged, stop_reason="converged" if converged else "budget",
+        final_step=step,
     )

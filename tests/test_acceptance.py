@@ -23,7 +23,7 @@ from alma.metrics import confusion_matrix, score_result
 from alma.metrics import _align_assignment, _align_exhaustive
 from alma.model import assemble_ground_truth
 from alma.sampling import sample_adjacency, sample_instance, substream
-from alma.solver import AlmaConfig, alma_fit, q_update, w_update
+from alma.solver import alma_fit, q_update, w_update
 from alma.tensors import (
     Tensor3,
     mode1_dematricize,
@@ -54,7 +54,7 @@ def test_01_noiseless_exact_recovery(capsys):
     for seed in range(10):
         inst, a = _noiseless_setup(seed)
         w1 = spectral_init(a, 3, substream(seed, 2))
-        fit = alma_fit(a, ranks, w1, AlmaConfig(max_iter=50))
+        fit = alma_fit(a, ranks, w1, max_iter=50)
         res = cluster_factor_pair(a, fit.w, ranks, substream(seed, 3))
         report = score_result(inst, res)
         worst_iters = max(worst_iters, fit.iters_used)
@@ -144,9 +144,7 @@ def test_05_monotone_descent_trace(capsys):
     checked = 0
     for i in range(50):
         inst, a, w1 = _random_noisy_case(i)
-        fit = alma_fit(
-            a, inst.K, w1, AlmaConfig(max_iter=40, record_trace=True)
-        )
+        fit = alma_fit(a, inst.K, w1, max_iter=40)
         trace = np.array(fit.objective_trace)
         rises = np.diff(trace)
         worst = max(worst, float(rises.max() / trace[0])) if rises.size else worst

@@ -120,6 +120,8 @@ def test_fit_prints_the_fit_method_result(tmp_path, capsys, method):
     assert payload["layer_labels"] == res.layer_labels.tolist()
     assert payload["node_labels"] == [g.tolist() for g in res.node_labels]
     assert (payload["iters"], payload["converged"]) == (iters, converged)
+    # a fit that ran its budget is flagged unconverged, twist's included
+    assert payload["stop_reason"] == ("converged" if payload["converged"] else "budget")
 
 
 def test_fit_requires_exactly_one_source(tmp_path, capsys):

@@ -288,9 +288,9 @@ def fitting_threads(monkeypatch):
     """(thread, m) of every candidate fit, in the order the fits ran."""
     seen = []
 
-    def spy(a, ranks, w_init, config):
+    def spy(a, ranks, w_init, **kwargs):
         seen.append((threading.current_thread(), len(ranks)))
-        return alma_fit(a, ranks, w_init, config)
+        return alma_fit(a, ranks, w_init, **kwargs)
 
     monkeypatch.setattr(harness, "alma_fit", spy)
     return seen
@@ -320,10 +320,10 @@ def test_elbow_checks_every_candidate_before_fitting(monkeypatch, fitting_thread
 
 
 def test_elbow_rows_name_the_error_that_ended_a_fit(monkeypatch):
-    def fail_at_3(a, ranks, w_init, config):
+    def fail_at_3(a, ranks, w_init, **kwargs):
         if len(ranks) == 3:
             raise EmptyClusterError("no layer in group 2")
-        return alma_fit(a, ranks, w_init, config)
+        return alma_fit(a, ranks, w_init, **kwargs)
 
     monkeypatch.setattr(harness, "alma_fit", fail_at_3)
     rows = scan(elbow_input())
@@ -333,10 +333,10 @@ def test_elbow_rows_name_the_error_that_ended_a_fit(monkeypatch):
 
 def test_elbow_worker_error_propagates_and_restores_the_count(monkeypatch):
     # the scan starts no threads and leaves the caller's BLAS thread count as it found it
-    def fail_at_2(a, ranks, w_init, config):
+    def fail_at_2(a, ranks, w_init, **kwargs):
         if len(ranks) == 2:
             raise RuntimeError("fit failed")
-        return alma_fit(a, ranks, w_init, config)
+        return alma_fit(a, ranks, w_init, **kwargs)
 
     monkeypatch.setattr(harness, "alma_fit", fail_at_2)
     a = elbow_input()

@@ -19,7 +19,6 @@ from alma.clustering import cluster_factor_pair
 from alma.sampling import sample_instance, substream
 from alma.solver import (
     OBJECTIVE_RTOL,
-    AlmaConfig,
     FactorPair,
     alma_fit,
     objective,
@@ -47,10 +46,12 @@ def dense_core(q) -> Tensor3:
 
 
 def test_config_validation():
+    _, _, a = make_noisy(49, n=10, L=6, m=2, k=2)
+    w0 = np.linalg.qr(np.random.default_rng(49).normal(size=(6, 2)))[0]
     with pytest.raises(ValueError):
-        AlmaConfig(eps_stop=-1.0)
+        alma_fit(a, (2, 2), w0, eps_stop=-1.0)
     with pytest.raises(ValueError):
-        AlmaConfig(max_iter=0)
+        alma_fit(a, (2, 2), w0, max_iter=0)
 
 
 def test_objective_zero_on_exact_factorization():
@@ -130,7 +131,7 @@ def test_alma_fit_noiseless_exact():
     inst, gt = make_truth(46, n=24, L=16, m=3, k=2, p_max=0.8, alpha=0.4)
     a = mode1_product(gt.q_star, gt.w_star)
     w0 = np.linalg.qr(np.random.default_rng(46).normal(size=(16, 3)))[0]
-    fit = alma_fit(a, inst.K, w0, AlmaConfig(max_iter=60))
+    fit = alma_fit(a, inst.K, w0, max_iter=60)
     res = cluster_factor_pair(a, fit.w, inst.K, substream(46, 9))
     report = score_result(inst, res)
     assert report.r_bl == 0.0
@@ -140,16 +141,14 @@ def test_alma_fit_noiseless_exact():
 def test_alma_fit_trace_and_metadata():
     _, _, a = make_noisy(47, n=14, L=8, m=2, k=2)
     w0 = np.linalg.qr(np.random.default_rng(47).normal(size=(8, 2)))[0]
-    fit = alma_fit(a, (2, 2), w0, AlmaConfig(max_iter=1, record_trace=True))
+    fit = alma_fit(a, (2, 2), w0, max_iter=1)
     assert isinstance(fit, FactorPair)
     assert fit.iters_used == 1
     assert len(fit.objective_trace) == 2  # one sweep records both half-steps
     assert not fit.converged
     assert fit.stop_reason == "budget"
     assert fit.final_step == np.linalg.norm(fit.w - w0)
-    long = alma_fit(
-        a, (2, 2), w0, AlmaConfig(max_iter=50, eps_stop=1e-2, record_trace=True)
-    )
+    long = alma_fit(a, (2, 2), w0, max_iter=50, eps_stop=1e-2)
     trace = np.array(long.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9 * trace[0])
     assert long.converged
@@ -160,7 +159,7 @@ def test_alma_fit_trace_and_metadata():
 def test_alma_fit_keeps_w_orthonormal():
     _, _, a = make_noisy(48, n=14, L=10, m=2, k=2)
     w0 = np.linalg.qr(np.random.default_rng(48).normal(size=(10, 2)))[0]
-    fit = alma_fit(a, (2, 2), w0, AlmaConfig(max_iter=20))
+    fit = alma_fit(a, (2, 2), w0, max_iter=20)
     assert np.linalg.norm(fit.w.T @ fit.w - np.eye(2)) <= 1e-10
 
 
@@ -186,7 +185,7 @@ def test_alma_fit_degenerate_rank_raises():
 
 
 def test_alma_fit_nonfinite_objective_raises():
-    # an enormous slice outside the initial column span overflows the recorded
+    # an enormous slice outside the initial column span overflows the
     # objective while both factors stay finite
     rng = np.random.default_rng(51)
     huge = 1e154 * (np.ones((6, 6)) - np.eye(6))
@@ -198,20 +197,18 @@ def test_alma_fit_nonfinite_objective_raises():
     seed = rng.normal(size=(4, 2))
     seed[0] = 0.0
     w0 = np.linalg.qr(seed)[0]
-    with pytest.raises(NonFiniteObjectiveError), \
-            pytest.warns(RuntimeWarning, match="overflow"):
-        alma_fit(a, (2, 2), w0, AlmaConfig(record_trace=True))
-    # without a trace, the objective stop rule meets the same overflow
-    with pytest.raises(NonFiniteObjectiveError), \
-            pytest.warns(RuntimeWarning, match="overflow"):
+    with pytest.raises(NonFiniteObjectiveError):
         alma_fit(a, (2, 2), w0)
+    # with both stop tests off, the trace meets the same overflow
+    with pytest.raises(NonFiniteObjectiveError):
+        alma_fit(a, (2, 2), w0, eps_stop=0.0)
 
 
 def test_alma_fit_on_the_lanczos_path(eigsh_calls):
     # n=300 is above LANCZOS_MIN_N, so every Q-step after the first is warm
     _, _, a = make_noisy(52, n=300, L=8, m=2, k=2, p_max=0.5, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(52).normal(size=(8, 2)))[0]
-    fit = alma_fit(a, (2, 2), w0, AlmaConfig(eps_stop=0.0, max_iter=8, record_trace=True))
+    fit = alma_fit(a, (2, 2), w0, eps_stop=0.0, max_iter=8)
     assert eigsh_calls == [2] * (2 * 7)
     trace = np.array(fit.objective_trace)
     assert np.all(np.diff(trace) <= 1e-9 * trace[:-1])
@@ -226,7 +223,7 @@ def test_one_group_product_and_fit_do_not_depend_on_the_blas_thread_count():
     w0 = spectral_init(a, 1, substream(84, 2))
 
     def run():
-        fit = alma_fit(a, (2,), w0, AlmaConfig(eps_stop=0.0, max_iter=15))
+        fit = alma_fit(a, (2,), w0, eps_stop=0.0, max_iter=15)
         return mode1_product(a, w0.T).array, fit.w
 
     (sums1, w1), (sums2, w2) = at_one_and_two_blas_threads(run)
@@ -239,7 +236,7 @@ def test_lanczos_path_fit_does_not_depend_on_the_blas_thread_count(eigsh_calls):
     _, _, a = make_noisy(52, n=300, L=8, m=2, k=2, p_max=0.5, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(52).normal(size=(8, 2)))[0]
     one, two = at_one_and_two_blas_threads(
-        lambda: alma_fit(a, (2, 2), w0, AlmaConfig(eps_stop=0.0, max_iter=10)))
+        lambda: alma_fit(a, (2, 2), w0, eps_stop=0.0, max_iter=10))
     assert eigsh_calls == [2] * (2 * 2 * 9)
     assert np.array_equal(one.w, two.w)
     for p, q in zip(one.q, two.q):
@@ -270,7 +267,7 @@ def test_warm_q_steps_run_no_dense_fallback_and_mostly_no_factorization(
 
     monkeypatch.setattr(solver, "q_update", count_sweeps)
     spy(linalg, "_kept_pairs", dense_sweeps)
-    fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(eps_stop=0.0, max_iter=10))
+    fit = alma_fit(a, (3, 3, 3), w1, eps_stop=0.0, max_iter=10)
     assert fit.iters_used == sweep[0] == 10
     assert dense_sweeps == [1, 1, 1]
     warm_slices = 3 * 9
@@ -320,17 +317,20 @@ def test_step_rule_returns_the_previous_sweeps_q_bit_for_bit(eigsh_calls, n, ran
     # returns them as they are
     _, _, a = make_noisy(58, n=n, L=8, m=2, k=2, p_max=0.6, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(58).normal(size=(8, 2)))[0]
-    steps = [alma_fit(a, ranks, w0, AlmaConfig(eps_stop=0.0, max_iter=t)).final_step
+    steps = [alma_fit(a, ranks, w0, eps_stop=0.0, max_iter=t).final_step
              for t in (1, 2, 3)]
     assert min(steps[:2]) > steps[2]
-    fit = alma_fit(a, ranks, w0, AlmaConfig(eps_stop=steps[2]))
-    before = alma_fit(a, ranks, w0, AlmaConfig(eps_stop=0.0, max_iter=2))
+    fit = alma_fit(a, ranks, w0, eps_stop=steps[2])
+    before = alma_fit(a, ranks, w0, eps_stop=0.0, max_iter=2)
     assert (fit.iters_used, fit.stop_reason) == (3, "converged")
     for got, want, k in zip(fit.q, before.q, ranks):
         assert got.vectors.shape == (n, k)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
     assert np.array_equal(fit.w, before.w)
+    # so is the objective: the previous sweep's, not the stop sweep's
+    assert objective(a, fit.q, fit.w) == fit.objective == before.objective
+    assert fit.objective == fit.objective_trace[-3]
     # the Q returned from the Lanczos path is one a warm Q-step found
     assert bool(eigsh_calls) == (n >= LANCZOS_MIN_N)
 
@@ -350,7 +350,7 @@ def test_zero_tolerance_runs_the_budget_when_w_repeats_exactly(monkeypatch):
         a = assemble_ground_truth(inst).p_star
         w1 = spectral_init(a, 1, substream(seed, 2))
         ws.clear()
-        fit = alma_fit(a, (2,), w1, AlmaConfig(eps_stop=0.0, max_iter=50))
+        fit = alma_fit(a, (2,), w1, eps_stop=0.0, max_iter=50)
         repeated.append(any(np.array_equal(u, v) for u, v in zip(ws, ws[1:])))
         assert (fit.iters_used, fit.converged, fit.stop_reason) == (50, False, "budget")
     assert any(repeated)
@@ -358,7 +358,8 @@ def test_zero_tolerance_runs_the_budget_when_w_repeats_exactly(monkeypatch):
 
 def test_dense_path_sweeps_never_densify_q(monkeypatch):
     # below LANCZOS_MIN_N nothing in a sweep builds an n x n Q slice: the
-    # W-step, the objective rule and the step rule all read the eigenpairs
+    # W-step, the objective and the step rule all read the eigenpairs, and
+    # so does objective() after the fit
     calls = []
     real = linalg._from_pairs
 
@@ -375,7 +376,7 @@ def test_dense_path_sweeps_never_densify_q(monkeypatch):
     assert [pairs.vectors.shape for pairs in fit.q] == [(100, 3)] * 3
     assert calls == []
     objective(a, fit.q, fit.w)
-    assert calls == [3, 3, 3]
+    assert calls == []
 
 
 def test_rank_n_slices_hold_the_full_eigendecomposition():
@@ -398,8 +399,8 @@ def test_a_fit_holds_one_q_stack_at_a_time():
     _, _, a = make_noisy(57, n=n, L=12, m=m, k=3, p_max=0.5, alpha=0.5)
     w1 = spectral_init(a, m, substream(57, 2))
     ranks = (3,) * m
-    alma_fit(a, ranks, w1, AlmaConfig(eps_stop=0.0, max_iter=2))  # first-call caches
-    peak = traced_peak(lambda: alma_fit(a, ranks, w1, AlmaConfig(eps_stop=0.0, max_iter=5)))
+    alma_fit(a, ranks, w1, eps_stop=0.0, max_iter=2)  # first-call caches
+    peak = traced_peak(lambda: alma_fit(a, ranks, w1, eps_stop=0.0, max_iter=5))
     assert peak <= (m + 2.5) * n * n * 8
 
 
@@ -420,7 +421,7 @@ def test_fit_projects_every_slice_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(solver, "rank_project", project_spy)
     _, _, a = make_noisy(54, n=450, L=6, m=3, k=2, p_max=0.5, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(54).normal(size=(6, 3)))[0]
-    fit = alma_fit(a, (2, 3, 2), w0, AlmaConfig(eps_stop=0.0, max_iter=3))
+    fit = alma_fit(a, (2, 3, 2), w0, eps_stop=0.0, max_iter=3)
     assert fit.iters_used == 3
     assert threads == [threading.current_thread()] * 9
     assert pins == []
@@ -437,7 +438,7 @@ def scenario_one_fit_inputs(seed=61):
 
 def test_fit_stops_once_the_objective_stops_falling():
     a, w1 = scenario_one_fit_inputs()
-    fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(record_trace=True))
+    fit = alma_fit(a, (3, 3, 3), w1)
     assert fit.iters_used < 100
     assert fit.converged and fit.stop_reason == "converged"
     assert fit.final_step > 1e-4  # the step rule did not fire
@@ -446,25 +447,25 @@ def test_fit_stops_once_the_objective_stops_falling():
     assert fall[-1] <= OBJECTIVE_RTOL
     assert np.all(fall[:-1] > OBJECTIVE_RTOL)
     # the pair returned is the stop sweep's own, not the one before it
-    assert objective(a, fit.q, fit.w) == fit.objective_trace[-1]
+    assert objective(a, fit.q, fit.w) == fit.objective == fit.objective_trace[-1]
 
 
-def test_zero_tolerance_runs_the_budget_and_never_takes_the_objective(monkeypatch):
+def test_zero_tolerance_runs_the_budget_and_never_takes_the_residual(monkeypatch):
+    # at eps_stop = 0 the trace is still kept, all of it from the expansion
     calls = []
+    real = solver._residual_objective
 
-    def spy(name, real):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapped
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "objective", spy("objective", objective))
-    monkeypatch.setattr(solver, "_objective_after_w_step",
-                        spy("after_w_step", solver._objective_after_w_step))
+    monkeypatch.setattr(solver, "_residual_objective", spy)
     a, w1 = scenario_one_fit_inputs()
-    fit = alma_fit(a, (3, 3, 3), w1, AlmaConfig(eps_stop=0.0, max_iter=30))
+    fit = alma_fit(a, (3, 3, 3), w1, eps_stop=0.0, max_iter=30)
     assert (fit.iters_used, fit.converged, fit.stop_reason) == (30, False, "budget")
+    assert len(fit.objective_trace) == 60
     assert calls == []
+    assert objective(a, fit.q, fit.w) == fit.objective == fit.objective_trace[-1]
 
 
 @pytest.mark.parametrize("n", [100, 450])
@@ -473,15 +474,14 @@ def test_objective_from_the_w_step_matches_the_residual(monkeypatch, n):
     monkeypatch.setattr(solver, "_CANCELLATION_FRAC", 0.0)
     _, _, a = make_noisy(62, n=n, L=8, m=2, k=2, p_max=0.5, alpha=0.5)
     w = np.linalg.qr(np.random.default_rng(62).normal(size=(8, 2)))[0]
-    amat = mode1_matricize(a).reshape(-1)
-    a_sq = float(amat @ amat)
+    a_sq = solver._squared_norm(a)
     start = solver._CarriedStart((Certificate(), Certificate()), solver._SliceDrift(a))
     for _ in range(3):
         q = q_update(a, w, (2, 2), start=start)
         g = solver._slice_correlations(a, q)
         w = polar_project(g)
-        ref = objective(a, q, w)
-        assert abs(solver._objective_after_w_step(a, a_sq, q, w, g) - ref) <= 1e-12 * ref
+        ref = solver._residual_objective(a, q, w)
+        assert abs(solver._expanded_objective(a, a_sq, q, w, g) - ref) <= 1e-12 * ref
 
 
 def test_objective_near_zero_is_taken_from_the_residual():
@@ -493,6 +493,36 @@ def test_objective_near_zero_is_taken_from_the_residual():
     g = solver._slice_correlations(a, q)
     w = polar_project(g)
     amat = mode1_matricize(a).reshape(-1)
-    got = solver._objective_after_w_step(a, float(amat @ amat), q, w, g)
-    assert got == objective(a, q, w)
+    got = solver._expanded_objective(a, solver._squared_norm(a), q, w, g)
+    assert got == solver._residual_objective(a, q, w) == objective(a, q, w)
     assert got <= 1e-10 * np.linalg.norm(amat)
+
+
+def test_a_step_rule_stop_at_sweep_one_reports_that_sweeps_objective():
+    # W moves by at most 2 sqrt(M) < 4, so the first sweep stops and its own
+    # pair comes back
+    a, w1 = scenario_one_fit_inputs()
+    fit = alma_fit(a, (3, 3, 3), w1, eps_stop=4.0)
+    assert (fit.iters_used, fit.stop_reason) == (1, "converged")
+    assert objective(a, fit.q, fit.w) == fit.objective == fit.objective_trace[-1]
+
+
+def test_objective_rejects_a_layer_factor_that_is_not_orthonormal():
+    _, _, a = make_noisy(64, n=20, L=9, m=2, k=2)
+    w = np.linalg.qr(np.random.default_rng(64).normal(size=(9, 2)))[0]
+    q = q_update(a, w, (2, 2))
+    with pytest.raises(ValueError, match="orthonormal"):
+        objective(a, q, 2.0 * w)
+
+
+@needs_blas_pin
+def test_fit_objective_does_not_depend_on_the_blas_thread_count():
+    # p_star is not 0/1, so ||A||^2 is no exact integer, and at 1.8e6 entries
+    # numpy's threaded dot moved its last bits between one and two threads
+    inst = sample_instance(300, 20, 3, 3, 0.6, 0.8, substream(65, 0))
+    a = assemble_ground_truth(inst).p_star
+    w1 = spectral_init(a, 3, substream(65, 2))
+    one, two = at_one_and_two_blas_threads(
+        lambda: alma_fit(a, inst.K, w1, eps_stop=0.0, max_iter=3))
+    assert one.objective == two.objective
+    assert one.objective_trace == two.objective_trace
