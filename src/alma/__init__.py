@@ -22,7 +22,6 @@ from .errors import (
 )
 from .tensors import (
     Tensor3,
-    frobenius_norm,
     mode1_dematricize,
     mode1_matricize,
     mode1_product,

@@ -28,6 +28,7 @@ from .harness import (
     scenario_config,
 )
 from .initialization import spectral_init
+from .linalg import _symmetric_slices
 from .model import assemble_ground_truth, load_instance, save_instance
 from .sampling import (
     sample_adjacency,
@@ -42,7 +43,8 @@ from .tensors import read_tensor, write_tensor
 class _UsageError(Exception):
     """A usage error argparse cannot see: flags that conflict with each other
     or with the input's dims, a bad ``--communities`` list or config file, or
-    a missing input file. :func:`main` exits 2 with the message, as argparse
+    a missing input file, or an ``--input`` tensor whose slices are not
+    symmetric. :func:`main` exits 2 with the message, as argparse
     does for a bad value."""
 
 
@@ -211,7 +213,11 @@ def _load_adjacency(args):
     if bool(args.input) == bool(args.edge_list):
         raise _UsageError("pass exactly one of --input or --edge-list")
     if args.input:
-        return read_tensor(_existing_file("--input", args.input))
+        a = read_tensor(_existing_file("--input", args.input))
+        if not _symmetric_slices(a.array):
+            raise _UsageError(f"--input {args.input}: slices are not symmetric "
+                              "to relative tolerance 1e-8")
+        return a
     return read_edge_list(_existing_file("--edge-list", args.edge_list),
                           layers=args.layers, nodes=args.nodes)
 

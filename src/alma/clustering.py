@@ -218,9 +218,9 @@ def _group_mean(a: Tensor3, layers) -> np.ndarray:
     stacked slices adds them, so the two agree bit for bit without a copy of
     the stack.
     """
-    total = a.slice(layers[0]).copy(order="K")
+    total = a.array[layers[0]].copy()
     for l in layers[1:]:
-        total += a.slice(l)
+        total += a.array[l]
     total /= len(layers)
     return total
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateSliceError, RankDeficientError
 from .linalg import sym_eig_topk
 from .model import GroundTruth
-from .tensors import frobenius_norm, mode23_product
+from .tensors import mode23_product
 
 _DROP_FACTOR = 1e-10
 # check_a1's bound on a relative singular value or span residual
@@ -35,7 +35,7 @@ def _structural_projectors(gt: GroundTruth, ranks):
     m_groups, n, _ = gt.q_star_full.dims
     if len(ranks) != m_groups:
         raise ValueError(f"expected {m_groups} ranks, got {len(ranks)}")
-    slices = [np.array(gt.q_star_full.slice(m)) for m in range(m_groups)]
+    slices = list(gt.q_star_full.array)
     bases = []
     perps = []
     eye = np.eye(n)
@@ -65,7 +65,7 @@ def kappa_h(gt: GroundTruth, ranks) -> float:
             t[i] = slices[j]
             t[j] = -slices[i]
             gens.append(t.reshape(-1))
-    drop = _DROP_FACTOR * frobenius_norm(gt.q_star_full)
+    drop = _DROP_FACTOR * float(np.linalg.norm(gt.q_star_full.array))
     basis = []
     dropped = 0
     for g in gens:
@@ -117,10 +117,10 @@ def condition_numbers(gt: GroundTruth, ranks, p_max: float) -> ConditionNumbers:
     if ev[-1] <= 0.0 or ev[0] <= 1e-12 * ev[-1]:
         raise RankDeficientError(max(ev[0], 0.0), max(ev[-1], 0.0), "slice Gram is singular")
     kappa0 = float(ev[-1] / ev[0])
-    kappa1 = float(p_max**2 * n * n * L / frobenius_norm(gt.q_star_full) ** 2)
+    kappa1 = float(p_max**2 * n * n * L / np.linalg.norm(gt.q_star_full.array) ** 2)
     sig_min = np.inf
     for m in range(m_groups):
-        vals = sym_eig_topk(np.array(gt.q_star_full.slice(m)), int(ranks[m])).values
+        vals = sym_eig_topk(gt.q_star_full.array[m], int(ranks[m])).values
         sig = float(np.abs(vals[-1]))
         top = float(np.abs(vals[0]))
         if sig < 1e-10 * max(top, 1e-300):

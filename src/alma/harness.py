@@ -26,7 +26,7 @@ from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
 from .solver import alma_fit
-from .tensors import Tensor3, mode1_matricize
+from .tensors import Tensor3
 from .twist import twist_fit
 
 METHODS = ("alma", "twist")
@@ -188,10 +188,10 @@ def fit_method(
         return res, fit.iters_used, fit.converged, fit
     if method != "twist":
         raise ValueError(f"unknown method {method!r}")
-    # the HOSVD node factor: top eigenvectors of sum_l A_l^2, the mode-2
-    # unfolding times its transpose; A's buffer, read as (L n, n) rows, is
-    # that unfolding transposed
-    unfolding_t = mode1_matricize(a).reshape(-1, a.dims[1])
+    # the HOSVD node factor: top eigenvectors of sum_l A_l^2. A's array, read
+    # as (L n, n) rows, stacks the rows of every slice, and R^T R = sum_l
+    # A_l^T A_l, which is sum_l A_l^2 since the slices are symmetric
+    unfolding_t = a.array.reshape(-1, a.dims[1])
     u0 = sym_eig_topk(unfolding_t.T @ unfolding_t, twist_r).vectors
     _, w_hat = twist_fit(a, u0, w_init, iter_max=twist_iter_max)
     res = cluster_factor_pair(

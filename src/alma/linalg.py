@@ -126,6 +126,16 @@ def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
+def _symmetric_slices(stack: np.ndarray) -> bool:
+    """Whether every slice ``stack[l]`` is square and no further from its
+    transpose than ``SYMMETRY_RTOL`` of its Frobenius norm, the rule every
+    symmetric eigen step applies. A non-finite slice passes, to fail later
+    as non-finite."""
+    return stack.shape[1] == stack.shape[2] and all(
+        np.array_equal(s, s.T)
+        or not np.linalg.norm(s - s.T) > SYMMETRY_RTOL * np.linalg.norm(s) for s in stack)
+
+
 def _require_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -133,9 +143,8 @@ def _require_symmetric(a: np.ndarray) -> np.ndarray:
     if np.array_equal(a, a.T):
         # already exact; C-contiguous, so that a.T is the same matrix in
         # Fortran order for scipy's BLAS and LAPACK, with no copy
-        return a.T if a.flags.f_contiguous else np.ascontiguousarray(a)
-    norm = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * norm:
+        return np.ascontiguousarray(a)
+    if not _symmetric_slices(a[None]):
         raise ValueError("matrix is not symmetric to relative tolerance 1e-8")
     return (a + a.T) / 2.0
 
@@ -348,11 +357,13 @@ def _quadratic_forms(mats, vectors: np.ndarray) -> np.ndarray:
 
     The products run on one thread of scipy's OpenBLAS: numpy's, at n=450
     and up, splits a product of this shape by its thread count and moves
-    its last bits, and with them a fit's.
+    its last bits, and with them a fit's. Each takes ``M_l^T``, since
+    v^T M v = v^T M^T v for any M: the transpose of a C-ordered matrix is
+    Fortran-ordered, which BLAS reads without a copy.
     """
     vectors = np.asfortranarray(vectors)
     with _scipy_blas_on_one_thread():
-        prods = np.stack([blas.dgemm(1.0, m, vectors) for m in mats])
+        prods = np.stack([blas.dgemm(1.0, m.T, vectors) for m in mats])
     return np.einsum("lri,ri->li", prods, vectors)
 
 

@@ -89,17 +89,16 @@ class MmlsbmInstance:
 class GroundTruth:
     """Assembled tensors for one instance.
 
-    ``p_star`` (L, n, n) holds the per-layer edge-probability slices and
-    ``q_star`` (M, n, n) the sqrt(L_m)-scaled per-group slices, both with
+    ``p_star`` (L, n, n) holds the per-layer edge-probability slices, with
     zeroed diagonals (no self loops; this is what the estimator consumes).
-    ``q_star_full`` keeps the diagonals, so each slice is exactly
-    sqrt(L_m) * Theta_m B_m Theta_m^T with rank K_m; the theory diagnostics
-    operate on that form. ``w_star`` is the (L, M) orthonormal layer-group
-    factor with entries 1/sqrt(L_m) on the member rows.
+    ``q_star_full`` (M, n, n) holds the per-group slices with their
+    diagonals, each exactly sqrt(L_m) * Theta_m B_m Theta_m^T with rank K_m;
+    the theory diagnostics operate on that form. ``w_star`` is the (L, M)
+    orthonormal layer-group factor with entries 1/sqrt(L_m) on the member
+    rows.
     """
 
     p_star: Tensor3
-    q_star: Tensor3
     w_star: np.ndarray
     q_star_full: Tensor3
 
@@ -126,29 +125,26 @@ def planted_connectivity(k: int, p_max: float, alpha: float) -> np.ndarray:
 def assemble_ground_truth(inst: MmlsbmInstance) -> GroundTruth:
     """Build (P*, Q*, W*) from an instance.
 
-    Satisfies ``p_star == mode1_product(q_star, w_star)`` and
-    ``w_star.T @ w_star == I`` exactly up to float rounding.
+    Satisfies ``p_star == mode1_product(Q, w_star)`` for Q the slices of
+    ``q_star_full`` with zeroed diagonals, and ``w_star.T @ w_star == I``,
+    exactly up to float rounding.
     """
     n, L, M = inst.n, inst.L, inst.M
     sizes = inst.group_sizes
     group_zero = []
     q_full = np.empty((M, n, n))
-    q_zero = np.empty((M, n, n))
     for m in range(M):
         theta = build_membership_matrix(inst.memberships[m], inst.K[m])
         block = theta @ inst.B[m] @ theta.T
-        zeroed = block.copy()
-        np.fill_diagonal(zeroed, 0.0)
-        group_zero.append(zeroed)
-        scale = np.sqrt(sizes[m])
-        q_full[m] = scale * block
-        q_zero[m] = scale * zeroed
+        q_full[m] = np.sqrt(sizes[m]) * block
+        np.fill_diagonal(block, 0.0)
+        group_zero.append(block)
     p = np.empty((L, n, n))
     for l in range(L):
         p[l] = group_zero[inst.layer_labels[l]]
     w = np.zeros((L, M))
     w[np.arange(L), inst.layer_labels] = 1.0 / np.sqrt(sizes[inst.layer_labels])
-    return GroundTruth(Tensor3(p), Tensor3(q_zero), w, Tensor3(q_full))
+    return GroundTruth(Tensor3._wrap(p), w, Tensor3._wrap(q_full))
 
 
 def instance_to_json(inst: MmlsbmInstance) -> dict:

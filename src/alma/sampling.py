@@ -98,12 +98,12 @@ def sample_adjacency(gt: GroundTruth, rng) -> Tensor3:
     iu = np.triu_indices(n, k=1)
     out = np.zeros((L, n, n))
     for l in range(L):
-        probs = gt.p_star.slice(l)[iu]
+        probs = gt.p_star.array[l][iu]
         edges = (rng.random(probs.shape[0]) < probs).astype(np.float64)
         sl = np.zeros((n, n))
         sl[iu] = edges
         out[l] = sl + sl.T
-    return Tensor3(out)
+    return Tensor3._wrap(out)
 
 
 def sample_dataset(n, L, M, K, p_max, alpha, rng):
@@ -127,8 +127,7 @@ def write_edge_list(x: Tensor3, path) -> None:
     iu = np.triu_indices(n, k=1)
     with open(path, "w", encoding="utf-8") as fh:
         for l in range(L):
-            sl = x.slice(l)
-            present = sl[iu] != 0.0
+            present = arr[l][iu] != 0.0
             for i, j in zip(iu[0][present], iu[1][present]):
                 fh.write(f"{l} {i} {j}\n")
 
@@ -205,5 +204,4 @@ def read_edge_list(path, layers: int | None = None, nodes: int | None = None) ->
     out = np.zeros((layers, nodes, nodes))
     out[l, i, j] = 1.0
     out[l, j, i] = 1.0
-    # symmetric slices: the array is its own column-major-within-slice store
     return Tensor3._wrap(out)

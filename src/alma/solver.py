@@ -112,8 +112,8 @@ def objective(a: Tensor3, q, w: np.ndarray) -> float:
 def _squared_norm(a: Tensor3) -> float:
     """||A||^2, summed without BLAS's dot, whose sum over a long vector
     splits by thread count."""
-    amat = mode1_matricize(a).reshape(-1)
-    return float(np.einsum("i,i->", amat, amat))
+    flat = a.array.reshape(-1)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def _expanded_objective(a: Tensor3, a_sq: float, q, w: np.ndarray,
@@ -134,7 +134,6 @@ def _expanded_objective(a: Tensor3, a_sq: float, q, w: np.ndarray,
 def _residual_objective(a: Tensor3, q, w: np.ndarray) -> float:
     """:func:`objective` accumulated from the residual one layer at a time,
     with every Q slice densified."""
-    # Q is symmetric, so its rows stack into the same vector as its columns
     qmat = np.stack([_from_pairs(pairs) for pairs in q]).reshape(len(q), -1)
     sq = np.empty(len(w))
     for l, row in enumerate(mode1_matricize(a)):
@@ -216,7 +215,7 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
             cert.key = w[:, j].copy()
             if cert.ref is not None:
                 cert.drift = drift(cert.key - cert.ref)
-        q.append(rank_project(sums.slice(j), int(k), start=cert))
+        q.append(rank_project(sums.array[j], int(k), start=cert))
     return tuple(q)
 
 

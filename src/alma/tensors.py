@@ -1,13 +1,16 @@
 """Dense 3-way tensors and the mode products used by the alternating solver.
 
-A :class:`Tensor3` holds a float64 array indexed as ``x[i1, i2, i3]`` with
-dims ``(d1, d2, d3)``. For multilayer networks the first index is the layer
-and the remaining two are nodes, so ``slice(l)`` is one adjacency matrix.
+A :class:`Tensor3` holds a read-only C-ordered float64 array indexed as
+``x[i1, i2, i3]`` with dims ``(d1, d2, d3)``. For multilayer networks the
+first index is the layer and the remaining two are nodes, so ``slice(l)`` is
+one adjacency matrix. Row ``l`` of the mode-1 matricization is slice l read
+row by row, so :func:`mode1_matricize` returns a view of the array, not a
+copy, and :func:`mode1_dematricize` inverts it by reshaping. The layers of a
+network are undirected, so their slices are symmetric and read the same by
+rows as by columns.
 
-Storage is layer-major with each slice stored column by column. Under that
-layout row ``l`` of the mode-1 matricization is exactly ``vec(slice(l))``
-(columns stacked), so :func:`mode1_matricize` returns a view of the buffer,
-not a copy, and :func:`mode1_dematricize` inverts it by reshaping.
+Only the binary file of :func:`write_tensor` and :func:`read_tensor` stores
+each slice column by column; that order is part of the format.
 """
 
 from __future__ import annotations
@@ -31,50 +34,42 @@ class Tensor3:
     ----------
     array : array_like
         Anything numpy can coerce to a 3-d float array, indexed (i1, i2, i3).
+        It is copied into :attr:`array`, a read-only C-ordered float64 array.
     """
 
-    __slots__ = ("_store",)
+    __slots__ = ("array",)
 
     def __init__(self, array):
-        arr = np.asarray(array, dtype=np.float64)
+        arr = np.array(array, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ValueError(f"expected a 3-d array, got ndim={arr.ndim}")
         if min(arr.shape) < 1:
             raise ValueError(f"all dims must be >= 1, got {arr.shape}")
-        # internal buffer shape (d1, d3, d2), C order == layer-major,
-        # column-major within slice
-        store = np.array(arr.transpose(0, 2, 1), dtype=np.float64, order="C")
-        store.setflags(write=False)
-        self._store = store
+        arr.setflags(write=False)
+        self.array = arr
 
     @classmethod
-    def _wrap(cls, store: np.ndarray) -> "Tensor3":
-        # trusted constructor: store already C-contiguous (d1, d3, d2) float64
+    def _wrap(cls, array: np.ndarray) -> "Tensor3":
+        # trusted constructor for a fresh 3-d float64 array; a C-ordered one
+        # is taken without a copy
         obj = cls.__new__(cls)
-        if not store.flags.c_contiguous:
-            store = np.ascontiguousarray(store)
-        store.setflags(write=False)
-        obj._store = store
+        array = np.ascontiguousarray(array)
+        array.setflags(write=False)
+        obj.array = array
         return obj
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        d1, d3, d2 = self._store.shape
-        return (d1, d2, d3)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only (d1, d2, d3) view of the tensor."""
-        return self._store.transpose(0, 2, 1)
+        return self.array.shape
 
     def slice(self, i: int) -> np.ndarray:
         """Read-only (d2, d3) view of slice i along the first mode."""
-        return self._store[i].T
+        return self.array[i]
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):
             return NotImplemented
-        return self.dims == other.dims and bool(np.array_equal(self._store, other._store))
+        return self.dims == other.dims and bool(np.array_equal(self.array, other.array))
 
     __hash__ = None  # unhashable, like ndarray
 
@@ -83,22 +78,21 @@ class Tensor3:
 
 
 def mode1_matricize(x: Tensor3) -> np.ndarray:
-    """Unfold along mode 1: row ``l`` is vec(slice l), columns stacked.
+    """Unfold along mode 1: row ``l`` is slice l, its rows laid end to end.
 
-    Returns a read-only view of the tensor's buffer.
+    Returns a read-only view of the tensor's array.
     """
     d1, d2, d3 = x.dims
-    return x._store.reshape(d1, d2 * d3)
+    return x.array.reshape(d1, d2 * d3)
 
 
 def mode1_dematricize(mat: np.ndarray, dims) -> Tensor3:
     """Inverse of :func:`mode1_matricize` for the given (d1, d2, d3)."""
     d1, d2, d3 = (int(d) for d in dims)
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = np.array(mat, dtype=np.float64, order="C")
     if mat.shape != (d1, d2 * d3):
         raise ValueError(f"matrix shape {mat.shape} does not match dims {(d1, d2, d3)}")
-    store = np.array(mat, dtype=np.float64, order="C").reshape(d1, d3, d2)
-    return Tensor3._wrap(store)
+    return Tensor3._wrap(mat.reshape(d1, d2, d3))
 
 
 def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
@@ -115,11 +109,10 @@ def mode1_product(x: Tensor3, a: np.ndarray) -> Tensor3:
         raise ValueError(f"left factor shape {a.shape} does not match mode-1 dim {d1}")
     if len(a) == 1:
         with _scipy_blas_on_one_thread():
-            # the transpose of the C-ordered unfolding is Fortran-ordered: no copy
+            # the unfolding's .T is Fortran-ordered: no copy
             row = blas.dgemv(1.0, mode1_matricize(x).T, a[0])
-        return Tensor3._wrap(row.reshape(1, d3, d2))
-    store = np.tensordot(a, x._store, axes=(1, 0))
-    return Tensor3._wrap(store)
+        return Tensor3._wrap(row.reshape(1, d2, d3))
+    return Tensor3._wrap(np.tensordot(a, x.array, axes=(1, 0)))
 
 
 def mode23_product(x: Tensor3, y: Tensor3) -> np.ndarray:
@@ -132,18 +125,11 @@ def mode23_product(x: Tensor3, y: Tensor3) -> np.ndarray:
     return mode1_matricize(x) @ mode1_matricize(y).T
 
 
-def frobenius_norm(x) -> float:
-    """Frobenius norm of a Tensor3 or ndarray."""
-    if isinstance(x, Tensor3):
-        return float(np.linalg.norm(x._store))
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
-
-
 def write_tensor(x: Tensor3, path, flavor: str = "f8") -> None:
     """Write a tensor to the binary format.
 
     Layout: 4-byte magic, three little-endian u32 dims (d1, d2, d3), then the
-    entries in buffer order (layer-major, column-major within each slice).
+    entries layer by layer, each slice column by column.
     ``flavor`` is ``"f8"`` for float64 payloads or ``"u1"`` for 0/1 adjacency
     payloads stored one byte per entry; the u1 flavor sets the high bit of the
     final magic byte.
@@ -151,13 +137,12 @@ def write_tensor(x: Tensor3, path, flavor: str = "f8") -> None:
     d1, d2, d3 = x.dims
     if flavor == "f8":
         magic = _MAGIC_F64
-        payload = x._store.tobytes()
+        payload = x.array.transpose(0, 2, 1).tobytes()
     elif flavor == "u1":
         magic = _MAGIC_U8
-        store = x._store
-        if not np.all((store == 0.0) | (store == 1.0)):
+        if not np.all((x.array == 0.0) | (x.array == 1.0)):
             raise ValueError("u1 flavor requires all entries in {0, 1}")
-        payload = store.astype(np.uint8).tobytes()
+        payload = x.array.transpose(0, 2, 1).astype(np.uint8).tobytes()
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
     with open(path, "wb") as fh:
@@ -187,7 +172,6 @@ def read_tensor(path) -> Tensor3:
         raise ValueError(
             f"truncated payload: expected {count * itemsize} bytes, got {len(blob) - 16}"
         )
-    # read in place past the header; astype makes the one copy the store needs
-    flat = np.frombuffer(blob, dtype=dtype, offset=16).astype(np.float64)
-    store = flat.reshape(d1, d3, d2)
-    return Tensor3._wrap(store)
+    # read in place past the header; astype makes the one copy, in C order
+    cols = np.frombuffer(blob, dtype=dtype, offset=16).reshape(d1, d3, d2)
+    return Tensor3._wrap(cols.transpose(0, 2, 1).astype(np.float64, order="C"))

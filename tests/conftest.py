@@ -7,6 +7,7 @@ from scipy.sparse.linalg import eigsh
 from alma import linalg
 from alma.model import MmlsbmInstance, assemble_ground_truth, planted_connectivity
 from alma.sampling import sample_adjacency, sample_instance, substream
+from alma.tensors import Tensor3
 
 
 def make_truth(seed, n=30, L=12, m=2, k=2, p_max=0.7, alpha=0.5):
@@ -33,6 +34,15 @@ def checkerboard_truth():
         p_max=0.8,
     )
     return inst, assemble_ground_truth(inst)
+
+
+def hollow_core(gt):
+    """The group slices of ``gt.q_star_full`` with zeroed diagonals, whose
+    mode-1 product with ``gt.w_star`` is ``gt.p_star``."""
+    q = gt.q_star_full.array.copy()
+    for sl in q:
+        np.fill_diagonal(sl, 0.0)
+    return Tensor3(q)
 
 
 def make_noisy(seed, **kw):

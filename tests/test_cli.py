@@ -11,7 +11,7 @@ from alma.cli import build_parser, main
 from alma.harness import fit_method
 from alma.initialization import spectral_init
 from alma.sampling import substream
-from alma.tensors import read_tensor
+from alma.tensors import Tensor3, read_tensor, write_tensor
 
 
 def run_cli(argv, capsys):
@@ -289,6 +289,29 @@ def test_sizes_beyond_the_input_fail_before_any_fit(tmp_path, capsys, monkeypatc
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fit", "--groups", "2", "--communities", "2"], id="fit-alma"),
+    pytest.param(["fit", "--method", "twist", "--groups", "2", "--communities", "2"],
+                 id="fit-twist"),
+    pytest.param(["elbow", "--m-max", "3", "--communities", "2"], id="elbow"),
+])
+def test_a_non_symmetric_input_fails_before_any_fit(tmp_path, capsys, monkeypatch, argv):
+    generate_small(tmp_path, capsys)
+    arr = read_tensor(tmp_path / "adjacency.bin").array.copy()
+    arr[3, 0, 1] = 1.0 - arr[3, 0, 1]  # one edge in one direction only
+    path = tmp_path / "directed.bin"
+    write_tensor(Tensor3(arr), path, flavor="u1")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(cli, "spectral_init", no_fit)
+    monkeypatch.setattr(cli, "elbow_scan", no_fit)
+    err = usage_error(argv + ["--input", str(path)], capsys)
+    assert err.splitlines()[-1] == (f"alma {argv[0]}: error: --input {path}: slices are not "
+                                    "symmetric to relative tolerance 1e-8")
 
 
 def test_twist_rank_is_checked_for_twist_only(tmp_path, capsys, monkeypatch):

@@ -405,16 +405,15 @@ def test_warm_rank_project_matches_dense(k, eigsh_calls):
 
 
 def test_column_major_slice_projects_to_the_same_bits(eigsh_calls):
-    # the Q-step passes column-major views of W-weighted slice sums, as
-    # Tensor3 stores them; the Lanczos path must give them the bits of a
-    # row-major copy
+    # a column-major copy of a W-weighted slice sum must get, on the Lanczos
+    # path, the bits of the row-major slice the Q-step passes
     _, _, a = make_noisy(63, n=LANCZOS_MIN_N + 10, L=8, m=1, k=3, p_max=0.6, alpha=0.5)
     w = np.linalg.qr(np.random.default_rng(63).normal(size=(8, 2)))[0]
     core = mode1_product(a, w.T)
-    s = core.slice(0)
+    s = np.asfortranarray(core.slice(0))
     assert s.flags.f_contiguous and not s.flags.c_contiguous
-    v0 = start_after(np.ascontiguousarray(core.slice(1)), 3).v0
-    warm = rank_project(np.ascontiguousarray(s), 3, start=fresh_certificate(v0))
+    v0 = start_after(core.slice(1), 3).v0
+    warm = rank_project(core.slice(0), 3, start=fresh_certificate(v0))
     assert same_pairs(rank_project(s, 3, start=fresh_certificate(v0)), warm)
     assert eigsh_calls == [3, 3]
 

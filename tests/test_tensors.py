@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from alma.tensors import (
     Tensor3,
-    frobenius_norm,
     mode1_dematricize,
     mode1_matricize,
     mode1_product,
@@ -31,12 +32,12 @@ def small_tensors(max_dim=4):
     )
 
 
-def test_matricization_column_major_within_slice():
-    # one 2x2 slice [[1,2],[3,4]] unfolds to the row (1,3,2,4): columns stacked
+def test_matricization_row_major_within_slice():
+    # one 2x2 slice [[1,2],[3,4]] unfolds to the row (1,2,3,4): rows laid end to end
     t = Tensor3(np.stack([np.array([[1.0, 2.0], [3.0, 4.0]])]))
     row = mode1_matricize(t)
     assert row.shape == (1, 4)
-    assert row.tolist() == [[1.0, 3.0, 2.0, 4.0]]
+    assert row.tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_matricize_dematricize_round_trip():
@@ -72,7 +73,6 @@ def test_from_slices_matches_constructor():
 def test_zeros_and_equality():
     z = Tensor3(np.zeros((2, 3, 3)))
     assert z.dims == (2, 3, 3)
-    assert frobenius_norm(z) == 0.0
     assert z == Tensor3(np.zeros((2, 3, 3)))
     assert z != Tensor3(np.zeros((3, 2, 3)))
 
@@ -109,12 +109,6 @@ def test_mode23_commutes_with_mode1(t, rows, seed):
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_frobenius_matches_numpy():
-    rng = np.random.default_rng(3)
-    arr = rng.normal(size=(2, 3, 4))
-    assert frobenius_norm(Tensor3(arr)) == pytest.approx(np.linalg.norm(arr))
-
-
 def test_write_read_float_round_trip(tmp_path):
     t = Tensor3(np.random.default_rng(6).normal(size=(2, 3, 4)))
     path = tmp_path / "t.bin"
@@ -130,6 +124,20 @@ def test_write_read_binary_round_trip(tmp_path):
     assert read_tensor(path) == t
     # binary payload is one byte per entry plus the 16 byte header
     assert path.stat().st_size == 16 + arr.size
+
+
+@pytest.mark.parametrize("flavor, magic, payload", [
+    ("f8", b"MLT3", struct.pack("<8d", 1, 3, 2, 4, 5, 7, 6, 8)),
+    ("u1", b"MLT\xb3", bytes([1, 0, 1, 1, 0, 0, 1, 0])),
+])
+def test_file_holds_each_slice_column_by_column(tmp_path, flavor, magic, payload):
+    # non-symmetric slices, so that a flipped order in both write and read shows
+    arr = {"f8": np.array([[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]),
+           "u1": np.array([[[1.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]]])}[flavor]
+    path = tmp_path / "t.bin"
+    write_tensor(Tensor3(arr), path, flavor=flavor)
+    assert path.read_bytes() == magic + struct.pack("<III", 2, 2, 2) + payload
+    assert np.array_equal(read_tensor(path).array, arr)
 
 
 def test_write_binary_rejects_nonbinary(tmp_path):

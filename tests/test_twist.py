@@ -6,6 +6,7 @@ from alma.initialization import spectral_init
 from alma.linalg import sym_eig_topk
 from alma.metrics import score_result
 from alma.sampling import substream
+from alma.tensors import Tensor3
 from alma.twist import regularize_rows, twist_fit
 from conftest import make_noisy, make_truth
 
@@ -103,6 +104,17 @@ def test_twist_fit_validates_shapes():
         twist_fit(a, u0, w0[:5], iter_max=2)
     with pytest.raises(ValueError, match="u_init"):
         twist_fit(a, u0[:, 0], w0, iter_max=2)
+
+
+def test_twist_fit_rejects_non_symmetric_slices():
+    _, _, a = make_noisy(63, n=10, L=6, m=2, k=2)
+    u0, w0 = default_inits(a, 2, 4, substream(63, 2))
+    arr = a.array.copy()
+    arr[2, 0, 1] += 1e-12  # within the 1e-8 relative rule
+    twist_fit(Tensor3(arr), u0, w0, iter_max=1)
+    arr[2, 0, 1] = 1.0 - a.array[2, 0, 1]  # one edge in one direction only
+    with pytest.raises(ValueError, match="not symmetric"):
+        twist_fit(Tensor3(arr), u0, w0, iter_max=1)
 
 
 def test_twist_pipeline_noiseless_exact():
