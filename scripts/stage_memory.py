@@ -10,8 +10,10 @@ alternating sweeps, which also take the objective the fit reports) and
 ``clustering`` (the labels). The default options are the fit-large
 workload's, ``--groups 3 --communities 3 --eps 0``; any option given replaces
 them all. The fit's JSON is discarded. tracemalloc sees numpy's array
-buffers but not what BLAS or LAPACK allocate for themselves; the last line is
-this process's max RSS, which counts everything.
+buffers but not what BLAS or LAPACK allocate for themselves. So the first
+line is the process's max RSS right after the ``alma`` import, the floor
+every stage starts from, and the last line is its max RSS at the end, which
+counts everything.
 
 An input at the fit-large size comes from ``python3 bench/inputs.py fit-large
 SEED DIR`` (``DIR/adjacency.bin``) or from ``alma generate --n 600 --layers
@@ -27,6 +29,10 @@ import tracemalloc
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from alma import cli, harness  # noqa: E402
+
+# max RSS once alma and its numpy and scipy imports are loaded: the floor
+# under every stage below
+IMPORT_RSS_MB = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 DEFAULT_OPTIONS = ["--groups", "3", "--communities", "3", "--eps", "0"]
 # (module, function) of each stage, in the order a fit runs them
@@ -64,6 +70,7 @@ def main(argv) -> int:
     if code != 0:
         return code
     mb = 1024.0 * 1024.0
+    print(f"max RSS after importing alma: {IMPORT_RSS_MB:.1f} MB")
     print(f"{'stage':<12}{'start MB':>10}{'peak MB':>10}{'end MB':>10}")
     for name, start, peak, end in rows:
         print(f"{name:<12}{start / mb:>10.1f}{peak / mb:>10.1f}{end / mb:>10.1f}")

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import EmptyClusterError
 from .linalg import sym_eig_topk
+from .metrics import max_weight_assignment
 from .sampling import as_generator
 from .tensors import Tensor3
 
@@ -204,11 +204,10 @@ class ClusteringResult:
 
 
 def _match_clusters_to_columns(centers: np.ndarray) -> np.ndarray:
-    # bijection cluster -> factor column, maximizing the squared centroid mass
-    rows, cols = linear_sum_assignment(-(centers**2))
-    out = np.empty(centers.shape[0], dtype=np.int64)
-    out[rows] = cols
-    return out
+    # bijection cluster -> factor column, maximizing the squared centroid mass;
+    # the m x m matching is metrics' exact assignment, which breaks ties as
+    # scipy's linear_sum_assignment does
+    return np.array(max_weight_assignment(centers**2), dtype=np.int64)
 
 
 def _group_mean(a: Tensor3, layers) -> np.ndarray:

@@ -28,6 +28,8 @@ __all__ = [
 
 # label draws per vector before sample_instance gives up on an empty class
 MAX_RETRIES = 100
+# edges formatted per write by write_edge_list
+_EDGES_PER_WRITE = 1 << 16
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -118,18 +120,28 @@ def sample_dataset(n, L, M, K, p_max, alpha, rng):
 def write_edge_list(x: Tensor3, path) -> None:
     """Write a 0/1 adjacency tensor as text lines ``l i j``.
 
-    Indices are 0-based; each undirected edge appears once with i < j.
+    Indices are 0-based; each undirected edge appears once with i < j, in
+    (l, i, j) order. Only what the file can hold is accepted: a tensor whose
+    slices are 0/1, symmetric and zero on the diagonal. Any other raises
+    ``ValueError`` naming the first layer at fault, since an entry below the
+    diagonal alone or a self-loop would not survive the round trip.
     """
     arr = x.array
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError("edge-list export requires a 0/1 tensor")
-    L, n, _ = x.dims
-    iu = np.triu_indices(n, k=1)
+    faults = (
+        ("an entry other than 0 or 1 (edge-list export requires a 0/1 tensor)",
+         ((arr != 0.0) & (arr != 1.0)).any(axis=(1, 2))),
+        ("a self-loop", np.diagonal(arr, axis1=1, axis2=2).any(axis=1)),
+        ("an edge stored one way only", (arr != arr.transpose(0, 2, 1)).any(axis=(1, 2))),
+    )
+    for what, layers in faults:
+        if layers.any():
+            raise ValueError(f"layer {int(layers.argmax())} has {what}")
+    n = x.dims[1]
+    edges = np.argwhere((arr != 0.0) & np.triu(np.ones((n, n), dtype=bool), k=1))
     with open(path, "w", encoding="utf-8") as fh:
-        for l in range(L):
-            present = arr[l][iu] != 0.0
-            for i, j in zip(iu[0][present], iu[1][present]):
-                fh.write(f"{l} {i} {j}\n")
+        # one formatted write per block; blocks bound the Python ints alive
+        for block in np.split(edges, range(_EDGES_PER_WRITE, len(edges), _EDGES_PER_WRITE)):
+            fh.write(("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _scan_edge_lines(path, layers: int | None, nodes: int | None) -> np.ndarray:

@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from alma.errors import InvalidPartitionError
 from alma.metrics import (
     avg_within_error,
     best_permutation_error,
     confusion_matrix,
+    max_weight_assignment,
     score_result,
     within_layer_error,
 )
@@ -69,6 +76,47 @@ def test_exhaustive_agrees_with_assignment():
         _, hits_ex = _align_exhaustive(counts)
         _, hits_lp = _align_assignment(counts)
         assert hits_ex == hits_lp
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_assignment_matches_scipy_on_random_scores(k):
+    rng = np.random.default_rng(100 + k)
+    for _ in range(50):
+        scores = rng.standard_normal((k, k))
+        _, cols = linear_sum_assignment(scores, maximize=True)
+        assert max_weight_assignment(scores) == cols.tolist()
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_assignment_reaches_scipys_total_on_tied_integer_scores(k):
+    rng = np.random.default_rng(200 + k)
+    for _ in range(50):
+        scores = rng.integers(0, 3, size=(k, k))
+        rows, cols = linear_sum_assignment(scores, maximize=True)
+        perm = max_weight_assignment(scores)
+        assert sorted(perm) == list(range(k))
+        assert scores[np.arange(k), perm].sum() == scores[rows, cols].sum()
+
+
+def test_assignment_tie_rule_and_input_checks():
+    assert max_weight_assignment(np.ones((4, 4))) == [0, 1, 2, 3]
+    assert max_weight_assignment(np.zeros((0, 0))) == []
+    assert max_weight_assignment([[1.0, 5.0], [5.0, 1.0]]) == [1, 0]
+    with pytest.raises(ValueError, match="square"):
+        max_weight_assignment(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        max_weight_assignment([[0.0, np.nan], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("module", ["alma", "alma.cli"])
+def test_importing_alma_does_not_load_scipy_optimize(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @settings(max_examples=30, deadline=None)

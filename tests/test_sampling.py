@@ -133,6 +133,36 @@ def test_edge_list_rejects_non_binary(tmp_path):
         write_edge_list(t, tmp_path / "x.edges")
 
 
+@pytest.mark.parametrize("block", [2, sampling._EDGES_PER_WRITE])
+def test_edge_list_file_holds_each_edge_once_in_layer_order(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(sampling, "_EDGES_PER_WRITE", block)
+    x = np.zeros((3, 3, 3))
+    for l, i, j in ((0, 0, 1), (0, 1, 2), (2, 0, 2)):
+        x[l, i, j] = x[l, j, i] = 1.0
+    path = tmp_path / "x.edges"
+    write_edge_list(Tensor3(x), path)
+    assert path.read_text() == "0 0 1\n0 1 2\n2 0 2\n"
+    write_edge_list(Tensor3(np.zeros((2, 3, 3))), path)
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("entries, message", [
+    pytest.param([(1, 0), (2, 2)], "layer 1 has a self-loop", id="below-and-loop"),
+    pytest.param([(1, 0)], "layer 1 has an edge stored one way only", id="below-only"),
+    pytest.param([(0, 2)], "layer 1 has an edge stored one way only", id="above-only"),
+    pytest.param([(2, 2)], "layer 1 has a self-loop", id="loop-only"),
+])
+def test_edge_list_rejects_a_slice_the_file_cannot_hold(tmp_path, entries, message):
+    x = np.zeros((2, 3, 3))
+    x[0, 0, 1] = x[0, 1, 0] = 1.0
+    for i, j in entries:
+        x[1, i, j] = 1.0
+    path = tmp_path / "x.edges"
+    with pytest.raises(ValueError, match=message):
+        write_edge_list(Tensor3(x), path)
+    assert not path.exists()
+
+
 def test_empty_edge_list_needs_dims(tmp_path):
     path = tmp_path / "empty.edges"
     path.write_text("# nothing\n")
