@@ -11,7 +11,10 @@ For every seed S it writes under ``OUT_DIR/seed-S/``:
   scenario`` on the sweep workload's cells of stock scenario 1 at
   ``--threads 1`` and ``--threads 2``, with the ``seconds`` column blanked;
 * ``elbow/drawJ.csv``: ``alma elbow --edge-list --eps 0`` over m=1..5 on each
-  elbow draw J.
+  elbow draw J;
+* ``elbow-cpu1/drawJ.csv``: the same scans with the CLI held to one CPU, so
+  that it fits the candidates one after another instead of in worker
+  processes.
 
 The inputs are generated from the seed by ``bench/inputs.py`` of the checkout
 that holds this script, so runs against different ``--src`` trees read the
@@ -42,10 +45,15 @@ def seed_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"needs a comma list of integers, got {text!r}") from None
 
 
-def _run(argv, src, cwd) -> None:
+def _one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _run(argv, src, cwd, one_cpu=False) -> None:
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=_one_cpu if one_cpu else None)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
 
@@ -83,17 +91,18 @@ def digest_seed(seed: int, out: str, src: str, tmp: str) -> None:
 
     elbow_in = os.path.join(tmp, "elbow")
     _run([gen, "elbow", str(seed), elbow_in], src, tmp)
-    os.makedirs(os.path.join(out, "elbow"))
     p = inputs.ELBOW
-    for draw in range(inputs.ELBOW_DRAWS):
-        res = os.path.join(tmp, f"elbow{draw}")
-        _run(alma + ["elbow", "--edge-list", os.path.join(elbow_in, f"draw{draw}.edges"),
-                     "--layers", str(p["L"]), "--nodes", str(p["n"]),
-                     "--m-min", str(inputs.ELBOW_M[0]), "--m-max", str(inputs.ELBOW_M[1]),
-                     "--communities", str(p["K"]), "--eps", str(inputs.ELBOW_EPS),
-                     "--seed", str(seed), "--out", res], src, tmp)
-        shutil.copyfile(os.path.join(res, "elbow.csv"),
-                        os.path.join(out, "elbow", f"draw{draw}.csv"))
+    for name, one_cpu in (("elbow", False), ("elbow-cpu1", True)):
+        os.makedirs(os.path.join(out, name))
+        for draw in range(inputs.ELBOW_DRAWS):
+            res = os.path.join(tmp, f"{name}-{draw}")
+            _run(alma + ["elbow", "--edge-list", os.path.join(elbow_in, f"draw{draw}.edges"),
+                         "--layers", str(p["L"]), "--nodes", str(p["n"]),
+                         "--m-min", str(inputs.ELBOW_M[0]), "--m-max", str(inputs.ELBOW_M[1]),
+                         "--communities", str(p["K"]), "--eps", str(inputs.ELBOW_EPS),
+                         "--seed", str(seed), "--out", res], src, tmp, one_cpu=one_cpu)
+            shutil.copyfile(os.path.join(res, "elbow.csv"),
+                            os.path.join(out, name, f"draw{draw}.csv"))
 
 
 def main() -> int:

@@ -11,9 +11,10 @@ results; wall-clock seconds are the only nondeterministic column.
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .linalg import pin_blas_threads, sym_eig_topk
 from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
-from .solver import alma_fit
+from .solver import _check_fit_args, alma_fit
 from .tensors import Tensor3
 from .twist import twist_fit
 
@@ -265,6 +266,35 @@ def _run_cell(args):
     return run_single(cfg, grid_idx, replicate)
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on; called only where the BLAS pin
+    # exists, i.e. on Linux
+    return len(os.sched_getaffinity(0))
+
+
+# the tensor an elbow worker fits its candidates to, set once per worker process
+_worker_tensor = None
+
+
+def _start_worker(a) -> None:
+    global _worker_tensor
+    # one BLAS thread per worker process, so the workers do not oversubscribe the cores
+    if pin_blas_threads is not None:
+        pin_blas_threads(1)
+    _worker_tensor = a
+
+
+def _worker_pool(workers: int, a=None) -> ProcessPoolExecutor:
+    """``workers`` forked processes, each on one BLAS thread and holding ``a``.
+
+    Fork hands ``a`` to each worker in the pages it shares with this process,
+    so no task pickles it. A spawned worker would also import numpy and scipy
+    again, about 0.6 s, half an elbow scan at n=100.
+    """
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(a,))
+
+
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Every record for the scenario, sorted by (sweep value, replicate, method).
 
@@ -278,8 +308,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     if cfg.threads == 1:
         chunks = [_run_cell(t) for t in tasks]
     else:
-        # one BLAS thread per worker process, so the workers do not oversubscribe the cores
-        with ProcessPoolExecutor(max_workers=cfg.threads, initializer=pin_blas_threads) as pool:
+        with _worker_pool(cfg.threads) as pool:
             chunks = list(pool.map(_run_cell, tasks))
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.sweep_value, r.replicate, r.method))
@@ -305,6 +334,21 @@ class ElbowRow:
     stop_reason: str
 
 
+def _elbow_row(a: Tensor3, m: int, k: int, master_seed: int, eps_stop: float,
+               max_iter: int) -> ElbowRow:
+    """The row of candidate ``m``: spectral init, then the fit from it."""
+    try:
+        w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT))
+        fit = alma_fit(a, (k,) * m, w1, eps_stop=eps_stop, max_iter=max_iter)
+        return ElbowRow(m, fit.objective, fit.iters_used, fit.converged, fit.stop_reason)
+    except EstimationError as exc:
+        return ElbowRow(m, float("nan"), 0, False, _failure_reason(exc))
+
+
+def _elbow_row_in_worker(*args) -> ElbowRow:
+    return _elbow_row(_worker_tensor, *args)
+
+
 def elbow_scan(
     a: Tensor3,
     m_grid,
@@ -319,29 +363,39 @@ def elbow_scan(
     decreases in m; the largest successive drop marks the group count to pick.
     A candidate m whose fit degenerates (rank-deficient Procrustes step,
     typical for m above the true group count on clean data) is recorded as a
-    NaN row rather than dropped. Every m is checked before any fit starts.
+    NaN row rather than dropped. Every m, ``k``, ``eps_stop`` and
+    ``max_iter`` are checked before any fit starts.
 
-    The candidates are fitted one after another on the calling thread, with
-    its BLAS thread count left as it is. A thread pool would not overlap
-    them: the dense Q-step runs in scipy's LAPACK wrappers, which hold the
-    GIL.
+    The candidates are fitted in ``min(len(m_grid), usable CPUs)`` forked
+    worker processes, each on one BLAS thread, largest m first, since fit
+    cost grows with m. Fork shares ``a``'s pages with every worker, so no
+    task pickles it. The first error that is not an :class:`EstimationError`
+    cancels the candidates not yet started and propagates. Processes, not
+    threads: the dense Q-step runs in scipy's LAPACK wrappers, which hold
+    the GIL. With one usable CPU, one candidate or no BLAS pin
+    (``linalg.pin_blas_threads`` is None), the candidates are fitted one
+    after another on the calling thread, with its BLAS thread count left as
+    it is. The rows are the same either way.
     """
-    L = a.dims[0]
+    L, n, _ = a.dims
     grid = [int(m) for m in m_grid]
     for m in grid:
         if not 1 <= m <= L:
             raise ValueError(f"candidate m={m} out of range for L={L}")
-    k = int(k)
-    rows = []
-    for m in grid:
-        try:
-            w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT))
-            fit = alma_fit(a, (k,) * m, w1, eps_stop=eps_stop, max_iter=max_iter)
-            rows.append(ElbowRow(m, fit.objective, fit.iters_used,
-                                 fit.converged, fit.stop_reason))
-        except EstimationError as exc:
-            rows.append(ElbowRow(m, float("nan"), 0, False, _failure_reason(exc)))
-    return rows
+    (k,) = _check_fit_args(n, (k,), eps_stop, max_iter)
+    fit_args = (k, master_seed, eps_stop, max_iter)
+    workers = min(len(grid), _usable_cpus()) if pin_blas_threads is not None else 1
+    if workers <= 1:
+        return [_elbow_row(a, m, *fit_args) for m in grid]
+    pool = _worker_pool(workers, a)
+    try:
+        futures = {i: pool.submit(_elbow_row_in_worker, grid[i], *fit_args)
+                   for i in sorted(range(len(grid)), key=lambda i: -grid[i])}
+        for future in as_completed(futures.values()):
+            future.result()  # raises the first error to come back
+        return [futures[i].result() for i in range(len(grid))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 CSV_COLUMNS = (

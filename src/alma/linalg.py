@@ -169,9 +169,13 @@ def _lanczos_applies(n: int, k: int) -> bool:
     return n >= LANCZOS_MIN_N and 2 * k + 1 < n
 
 
+@lru_cache(maxsize=64)
 def _fixed_unit(n: int) -> np.ndarray:
+    # drawn once per n and shared by every caller, so read-only
     r = np.random.default_rng(0).standard_normal(n)
-    return r / np.linalg.norm(r)
+    r /= np.linalg.norm(r)
+    r.setflags(write=False)
+    return r
 
 
 class Certificate:

@@ -239,6 +239,18 @@ def w_update(a: Tensor3, q) -> np.ndarray:
     return polar_project(_slice_correlations(a, q))
 
 
+def _check_fit_args(n: int, ranks, eps_stop: float, max_iter: int) -> tuple:
+    """``ranks`` as ints, once they and the stop settings pass :func:`alma_fit`'s checks."""
+    if eps_stop < 0.0:
+        raise ValueError("eps_stop must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    ranks = tuple(int(k) for k in ranks)
+    if any(k < 1 or k > n for k in ranks):
+        raise ValueError("every rank must lie in [1, n]")
+    return ranks
+
+
 def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,
              max_iter: int = 100) -> FactorPair:
     """Run the alternating sweeps from an orthonormal warm start.
@@ -251,13 +263,7 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,
     L, n, n2 = a.dims
     if n != n2:
         raise ValueError("adjacency slices must be square")
-    if eps_stop < 0.0:
-        raise ValueError("eps_stop must be nonnegative")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    ranks = tuple(int(k) for k in ranks)
-    if any(k < 1 or k > n for k in ranks):
-        raise ValueError("every rank must lie in [1, n]")
+    ranks = _check_fit_args(n, ranks, eps_stop, max_iter)
     w_prev = _check_w(w_init, L).copy()
     if w_prev.shape[1] != len(ranks):
         raise ValueError("w_init columns must match the number of ranks")

@@ -1,6 +1,9 @@
 import csv
 import math
+import multiprocessing
+import re
 import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,6 +23,7 @@ from alma.harness import (
     scenario_config,
     write_runs_csv,
 )
+from alma.initialization import spectral_init
 from alma.sampling import substream
 from alma.solver import alma_fit
 from alma.tensors import Tensor3, mode1_product
@@ -215,9 +219,13 @@ def test_elbow_drops_into_true_group_count():
         assert objs[1] - objs[2] < objs[0] - objs[1]
 
 
-def test_elbow_marks_degenerate_candidates_nan():
+def test_elbow_marks_degenerate_candidates_nan(monkeypatch, submitted):
+    # in two worker processes, where a pin exists
+    usable_cpus(monkeypatch, 2)
     _, gt = make_truth(82, n=20, L=14, m=2, k=2, p_max=0.9, alpha=0.3)
     rows = elbow_scan(gt.p_star, [2, 4], 2, master_seed=1)
+    if harness.pin_blas_threads is not None:
+        assert submitted == [4, 2]
     assert np.isfinite(rows[0].objective)
     assert math.isnan(rows[1].objective)
     assert rows[1].m == 4
@@ -268,7 +276,8 @@ def test_rows_say_why_each_fit_stopped(monkeypatch):
         assert (rec.failed, rec.converged, rec.stop_reason) == (True, False, reason)
 
 
-# The elbow scan fits its candidates one after another on the calling thread.
+# The elbow scan fits its candidates in forked worker processes, one per
+# usable CPU, or one after another on the calling thread.
 
 
 def elbow_input(seed=84, n=30):
@@ -283,9 +292,13 @@ def scan(a, grid=(1, 2, 3, 4)):
     return elbow_scan(a, grid, 2, master_seed=5, eps_stop=0.0, max_iter=15)
 
 
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: count)
+
+
 @pytest.fixture
 def fitting_threads(monkeypatch):
-    """(thread, m) of every candidate fit, in the order the fits ran."""
+    """(thread, m) of every candidate fit run in this process, in the order the fits ran."""
     seen = []
 
     def spy(a, ranks, w_init, **kwargs):
@@ -296,14 +309,77 @@ def fitting_threads(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The m of every candidate submitted to a worker pool, in submission order."""
+    seen = []
+    make_pool = harness._worker_pool
+
+    def recording_pool(*args):
+        pool = make_pool(*args)
+        submit = pool.submit
+
+        def recording_submit(fn, m, *rest):
+            seen.append(m)
+            return submit(fn, m, *rest)
+
+        pool.submit = recording_submit
+        return pool
+
+    monkeypatch.setattr(harness, "_worker_pool", recording_pool)
+    return seen
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a worker pool starts."""
+    def refuse(*args):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(harness, "_worker_pool", refuse)
+
+
 @needs_blas_pin
 @pytest.mark.parametrize("n", [30, 450])
-def test_elbow_rows_do_not_depend_on_the_blas_thread_count(n):
+def test_elbow_rows_do_not_depend_on_the_blas_thread_count(monkeypatch, n):
+    # in process, so that the caller's thread count is the one the fits run on;
     # at n=450 every candidate fit's warm Q-steps are on the Lanczos path
+    usable_cpus(monkeypatch, 1)
     a = elbow_input(n=n)
     one, two = at_one_and_two_blas_threads(lambda: elbow_table(scan(a)))
     assert [row[0] for row in one] == [1, 2, 3, 4]
     assert two == one
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("n", [30, 450])
+def test_elbow_rows_are_the_same_at_one_and_two_workers(monkeypatch, submitted, n):
+    a = elbow_input(n=n)
+    usable_cpus(monkeypatch, 1)
+    serial = elbow_table(scan(a))
+    assert submitted == []
+    usable_cpus(monkeypatch, 2)
+    assert elbow_table(scan(a)) == serial
+    assert sorted(submitted) == [1, 2, 3, 4]
+
+
+@needs_blas_pin
+def test_elbow_submits_the_largest_candidate_first(monkeypatch, submitted, fitting_threads):
+    usable_cpus(monkeypatch, 2)
+    rows = scan(elbow_input(), grid=(2, 1, 4, 3))
+    assert submitted == [4, 3, 2, 1]
+    assert [r.m for r in rows] == [2, 1, 4, 3]
+    assert fitting_threads == []  # every fit ran in a worker
+
+
+@pytest.mark.parametrize("cpus, grid", [(1, (2, 1, 4, 3)), (2, (3,))],
+                         ids=["one-cpu", "one-candidate"])
+def test_elbow_with_one_cpu_or_one_candidate_runs_serially(monkeypatch, no_pool,
+                                                           fitting_threads, cpus, grid):
+    usable_cpus(monkeypatch, cpus)
+    rows = scan(elbow_input(), grid=grid)
+    assert fitting_threads == [(threading.main_thread(), m) for m in grid]
+    assert [r.m for r in rows] == list(grid)
 
 
 def test_elbow_without_the_pin_runs_serially(monkeypatch, fitting_threads):
@@ -319,6 +395,28 @@ def test_elbow_checks_every_candidate_before_fitting(monkeypatch, fitting_thread
     assert fitting_threads == []
 
 
+@pytest.mark.parametrize("change, message", [
+    pytest.param(dict(k=31), "every rank must lie in [1, n]", id="k-above-n"),
+    pytest.param(dict(k=0), "every rank must lie in [1, n]", id="k-zero"),
+    pytest.param(dict(max_iter=0), "max_iter must be >= 1", id="max-iter-zero"),
+    pytest.param(dict(eps_stop=-1.0), "eps_stop must be nonnegative", id="eps-negative"),
+])
+def test_elbow_checks_the_fit_arguments_before_any_fit(monkeypatch, no_pool, change, message):
+    inits = []
+
+    def spy(*args, **kwargs):
+        inits.append(args[1])
+        return spectral_init(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "spectral_init", spy)
+    usable_cpus(monkeypatch, 2)
+    kwargs = {**dict(k=2, eps_stop=0.0, max_iter=15), **change}
+    k = kwargs.pop("k")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        elbow_scan(elbow_input(), [1, 2], k, master_seed=5, **kwargs)
+    assert inits == []
+
+
 def test_elbow_rows_name_the_error_that_ended_a_fit(monkeypatch):
     def fail_at_3(a, ranks, w_init, **kwargs):
         if len(ranks) == 3:
@@ -331,20 +429,34 @@ def test_elbow_rows_name_the_error_that_ended_a_fit(monkeypatch):
     assert math.isnan(rows[2].objective) and (rows[2].iters, rows[2].converged) == (0, False)
 
 
-def test_elbow_worker_error_propagates_and_restores_the_count(monkeypatch):
-    # the scan starts no threads and leaves the caller's BLAS thread count as it found it
-    def fail_at_2(a, ranks, w_init, **kwargs):
-        if len(ranks) == 2:
+def test_elbow_worker_error_propagates_and_restores_the_count(monkeypatch, tmp_path):
+    # a worker's error cancels the candidates not yet started, and the scan
+    # leaves no thread or process behind and the caller's BLAS thread count
+    # as it found it
+    started = tmp_path / "started"
+
+    def fail_at_8(a, ranks, w_init, **kwargs):
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(ranks)}\n")
+        if len(ranks) == 8:
             raise RuntimeError("fit failed")
+        # the scan reads the error while both workers are still busy
+        time.sleep(0.3)
         return alma_fit(a, ranks, w_init, **kwargs)
 
-    monkeypatch.setattr(harness, "alma_fit", fail_at_2)
+    monkeypatch.setattr(harness, "alma_fit", fail_at_8)
+    usable_cpus(monkeypatch, 2)
     a = elbow_input()
     before = threading.active_count()
     pin = harness.pin_blas_threads
     found = pin(2) if pin is not None else None
     with pytest.raises(RuntimeError, match="fit failed"):
-        scan(a)
+        scan(a, grid=range(1, 9))
     if pin is not None:
         assert pin(found) == 2
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+    ran = {int(m) for m in started.read_text(encoding="utf-8").split()}
+    if pin is not None:
+        # m=8 was submitted first; the last submitted were cancelled unstarted
+        assert 8 in ran and not ran & {1, 2}

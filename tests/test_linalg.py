@@ -474,6 +474,14 @@ def test_warm_start_only_above_the_crossover():
     assert np.allclose(v0, image / np.linalg.norm(image) + 1e-3 * r, rtol=0, atol=1e-12)
 
 
+def test_fixed_unit_is_drawn_once_per_n_and_read_only():
+    r = linalg._fixed_unit(LANCZOS_MIN_N)
+    fresh = np.random.default_rng(0).standard_normal(LANCZOS_MIN_N)
+    assert r.tobytes() == (fresh / np.linalg.norm(fresh)).tobytes()
+    assert linalg._fixed_unit(LANCZOS_MIN_N) is r
+    assert not r.flags.writeable
+
+
 # A Certificate carries the proof of one projection to the next, nearby slice.
 
 
