@@ -19,24 +19,22 @@ import numpy as np
 
 from .diagnostics import beta_nl, check_a1, condition_numbers, kappa_h
 from .harness import (
+    EMIT_FORMATS,
     METHODS,
+    SCENARIOS,
+    STAGE_INIT,
     ScenarioConfig,
     elbow_scan,
     emit_results,
     fit_method,
     run_scenario,
+    sample_draw,
     scenario_config,
 )
 from .initialization import spectral_init
 from .linalg import _symmetric_slices
 from .model import assemble_ground_truth, load_instance, save_instance
-from .sampling import (
-    sample_adjacency,
-    sample_instance,
-    substream,
-    read_edge_list,
-    write_edge_list,
-)
+from .sampling import read_edge_list, substream, write_edge_list
 from .tensors import read_tensor, write_tensor
 
 
@@ -102,6 +100,17 @@ def unit_fraction(text: str) -> float:
     return value
 
 
+def comma_list(choices):
+    """argparse type for a comma list of names from ``choices``, as a tuple."""
+    def parse(text: str) -> tuple:
+        names = tuple(text.split(","))
+        if not all(name in choices for name in names):
+            raise argparse.ArgumentTypeError(
+                f"needs a comma list from {','.join(choices)}, got {text!r}")
+        return names
+    return parse
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="sample an instance and adjacency tensor")
     p.add_argument("--n", type=positive_int, default=100, help="nodes per layer")
@@ -120,12 +129,8 @@ def _cmd_generate(args) -> int:
         raise _UsageError(f"--communities {args.communities} exceeds --n {args.n}")
     if args.groups > args.layers:
         raise _UsageError(f"--groups {args.groups} exceeds --layers {args.layers}")
-    inst = sample_instance(
-        args.n, args.layers, args.groups, args.communities,
-        args.p_max, args.alpha, substream(args.seed, 0),
-    )
-    gt = assemble_ground_truth(inst)
-    a = sample_adjacency(gt, substream(args.seed, 1))
+    inst, a = sample_draw((args.seed,), args.n, args.layers, args.groups, args.communities,
+                          args.p_max, args.alpha)
     os.makedirs(args.out, exist_ok=True)
     inst_path = os.path.join(args.out, "instance.json")
     save_instance(inst, inst_path)
@@ -159,7 +164,7 @@ def _add_fit(sub):
     p.add_argument("--groups", type=positive_int, required=True)
     p.add_argument("--communities", required=True,
                    help="one count, or comma list per group")
-    p.add_argument("--method", choices=("alma", "twist"), default="alma")
+    p.add_argument("--method", choices=METHODS, default="alma")
     p.add_argument("--eps", type=nonnegative_float, default=1e-4,
                    help="step tolerance; also turns on the objective stop test, 0 runs "
                         "the full --max-iter budget")
@@ -229,7 +234,7 @@ def _cmd_fit(args) -> int:
     _check_input_dims(a, "--groups", m, ranks)
     if args.method == "twist":
         _check_twist_rank(a, m, args.twist_r)
-    w1 = spectral_init(a, m, substream(args.seed, 2), restarts=args.restarts)
+    w1 = spectral_init(a, m, substream(args.seed, STAGE_INIT), restarts=args.restarts)
     res, iters, converged, fit = fit_method(
         a, args.method, ranks, w1, (args.seed,),
         eps_stop=args.eps, max_iter=args.max_iter, restarts=args.restarts,
@@ -254,11 +259,12 @@ def _cmd_fit(args) -> int:
 
 def _add_scenario(sub):
     p = sub.add_parser("scenario", help="run a stock simulation sweep")
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
+    p.add_argument("--scenario", type=int, choices=tuple(SCENARIOS), required=True)
     p.add_argument("--config", help="JSON file with ScenarioConfig overrides")
     p.add_argument("--replicates", type=positive_int)
     p.add_argument("--seed", type=seed_int)
-    p.add_argument("--methods", help="comma list from: alma,twist")
+    p.add_argument("--methods", type=comma_list(METHODS),
+                   help=f"comma list from: {','.join(METHODS)}")
     p.add_argument("--eps", type=nonnegative_float)
     p.add_argument("--max-iter", type=positive_int)
     p.add_argument("--threads", type=positive_int)
@@ -268,7 +274,8 @@ def _add_scenario(sub):
     p.add_argument("--n", type=positive_int)
     p.add_argument("--layers", type=positive_int)
     p.add_argument("--out", default="results")
-    p.add_argument("--emit", default="csv", help="comma list from: csv,svg")
+    p.add_argument("--emit", type=comma_list(EMIT_FORMATS), default="csv",
+                   help=f"comma list from: {','.join(EMIT_FORMATS)}")
 
 
 # the config file's number fields, checked as their flags are
@@ -337,6 +344,7 @@ def _load_config(path) -> dict:
 _FLAG_TO_FIELD = {
     "replicates": "replicates",
     "seed": "master_seed",
+    "methods": "methods",
     "eps": "eps_stop",
     "max_iter": "max_iter",
     "threads": "threads",
@@ -353,20 +361,12 @@ def _cmd_scenario(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             overrides[fieldname] = value
-    if args.methods is not None:
-        names = args.methods.split(",")
-        if not all(name in METHODS for name in names):
-            raise _UsageError(
-                f"--methods needs a comma list from {','.join(METHODS)}, got {args.methods!r}"
-            )
-        overrides["methods"] = tuple(names)
     try:
         cfg = scenario_config(args.scenario, grid_points=args.grid_points, **overrides)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     records = run_scenario(cfg)
-    formats = tuple(args.emit.split(","))
-    paths = emit_results(records, args.out, formats=formats, sweep_param=cfg.sweep_param)
+    paths = emit_results(records, args.out, formats=args.emit, sweep_param=cfg.sweep_param)
     for path in paths.values():
         print(path)
     return 0

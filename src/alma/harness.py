@@ -31,13 +31,14 @@ from .tensors import Tensor3
 from .twist import twist_fit
 
 METHODS = ("alma", "twist")
+EMIT_FORMATS = ("csv", "svg")
 
 # stream-path stage tags
-_STAGE_INSTANCE = 0
-_STAGE_ADJACENCY = 1
-_STAGE_INIT = 2
-_STAGE_ALMA_CLUSTER = 3
-_STAGE_TWIST_CLUSTER = 4
+STAGE_INSTANCE = 0
+STAGE_ADJACENCY = 1
+STAGE_INIT = 2
+STAGE_ALMA_CLUSTER = 3
+STAGE_TWIST_CLUSTER = 4
 _ELBOW_TAG = 97
 
 
@@ -89,7 +90,7 @@ class ScenarioConfig:
 
 
 # per-scenario fixed parameters and sweep ranges
-_SCENARIOS = {
+SCENARIOS = {
     1: dict(n=100, L=40, M=3, K=3, p_max=0.6, alpha=0.9, sweep_param="p_max", lo=0.3, hi=1.0),
     2: dict(n=100, L=40, M=3, K=3, p_max=0.6, alpha=0.9, sweep_param="n", lo=30, hi=300),
     3: dict(n=40, L=40, M=3, K=3, p_max=0.5, alpha=0.8, sweep_param="L", lo=40, hi=140),
@@ -99,11 +100,11 @@ _SCENARIOS = {
 
 def scenario_config(scenario: int, grid_points: int = 8, **overrides) -> ScenarioConfig:
     """Stock configuration for scenarios 1-4 with optional field overrides."""
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"scenario must be one of {sorted(_SCENARIOS)}, got {scenario}")
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {sorted(SCENARIOS)}, got {scenario}")
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
-    base = _SCENARIOS[scenario]
+    base = SCENARIOS[scenario]
     sweep = base["sweep_param"]
     raw = np.linspace(base["lo"], base["hi"], grid_points)
     if sweep == "p_max":
@@ -184,7 +185,7 @@ def fit_method(
     if method == "alma":
         fit = alma_fit(a, ranks, w_init, eps_stop=eps_stop, max_iter=max_iter)
         res = cluster_factor_pair(
-            a, fit.w, ranks, substream(*seed_path, _STAGE_ALMA_CLUSTER), restarts=restarts
+            a, fit.w, ranks, substream(*seed_path, STAGE_ALMA_CLUSTER), restarts=restarts
         )
         return res, fit.iters_used, fit.converged, fit
     if method != "twist":
@@ -196,7 +197,7 @@ def fit_method(
     u0 = sym_eig_topk(unfolding_t.T @ unfolding_t, twist_r).vectors
     _, w_hat = twist_fit(a, u0, w_init, iter_max=twist_iter_max)
     res = cluster_factor_pair(
-        a, w_hat, ranks, substream(*seed_path, _STAGE_TWIST_CLUSTER), restarts=restarts
+        a, w_hat, ranks, substream(*seed_path, STAGE_TWIST_CLUSTER), restarts=restarts
     )
     return res, twist_iter_max, False, None
 
@@ -206,21 +207,25 @@ def _failure_reason(exc: EstimationError) -> str:
     return "degenerate" if isinstance(exc, DegenerateIterateError) else type(exc).__name__
 
 
+def sample_draw(seed_path, n: int, L: int, M: int, K: int, p_max: float, alpha: float):
+    """``(instance, adjacency)``: an instance and one draw of its adjacency
+    tensor, on the ``STAGE_INSTANCE`` and ``STAGE_ADJACENCY`` streams under
+    ``seed_path``."""
+    inst = sample_instance(n, L, M, K, p_max, alpha, substream(*seed_path, STAGE_INSTANCE))
+    gt = assemble_ground_truth(inst)
+    return inst, sample_adjacency(gt, substream(*seed_path, STAGE_ADJACENCY))
+
+
 def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
     """All method records for one (grid point, replicate) cell."""
     value = cfg.grid[grid_idx]
     n, L, p_max = _sweep_params(cfg, value)
     path = (cfg.scenario, grid_idx, replicate)
     seed_id = _seed_id(cfg, grid_idx, replicate)
-    inst = sample_instance(
-        n, L, cfg.M, cfg.K, p_max, cfg.alpha,
-        substream(cfg.master_seed, *path, _STAGE_INSTANCE),
-    )
-    gt = assemble_ground_truth(inst)
-    a = sample_adjacency(gt, substream(cfg.master_seed, *path, _STAGE_ADJACENCY))
+    inst, a = sample_draw((cfg.master_seed, *path), n, L, cfg.M, cfg.K, p_max, cfg.alpha)
     ranks = (cfg.K,) * cfg.M
     w1 = spectral_init(
-        a, cfg.M, substream(cfg.master_seed, *path, _STAGE_INIT),
+        a, cfg.M, substream(cfg.master_seed, *path, STAGE_INIT),
         restarts=cfg.kmeans_restarts,
     )
     records = []
@@ -261,55 +266,63 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
     return records
 
 
-def _run_cell(args):
-    cfg, grid_idx, replicate = args
-    return run_single(cfg, grid_idx, replicate)
-
-
 def _usable_cpus() -> int:
     # the CPUs this process may run on; called only where the BLAS pin
     # exists, i.e. on Linux
     return len(os.sched_getaffinity(0))
 
 
-# the tensor an elbow worker fits its candidates to, set once per worker process
-_worker_tensor = None
+# the (fn, shared) pair a worker process runs its calls with, set once per worker
+_worker_job = None
 
 
-def _start_worker(a) -> None:
-    global _worker_tensor
+def _start_worker(fn, shared) -> None:
+    global _worker_job
     # one BLAS thread per worker process, so the workers do not oversubscribe the cores
     if pin_blas_threads is not None:
         pin_blas_threads(1)
-    _worker_tensor = a
+    _worker_job = (fn, shared)
 
 
-def _worker_pool(workers: int, a=None) -> ProcessPoolExecutor:
-    """``workers`` forked processes, each on one BLAS thread and holding ``a``.
+def _call_in_worker(call):
+    fn, shared = _worker_job
+    return fn(shared, *call)
 
-    Fork hands ``a`` to each worker in the pages it shares with this process,
-    so no task pickles it. A spawned worker would also import numpy and scipy
-    again, about 0.6 s, half an elbow scan at n=100.
+
+def _fan_out(fn, shared, calls, workers: int) -> list:
+    """``[fn(shared, *call) for call in calls]``, on up to ``workers`` processes.
+
+    With ``min(workers, len(calls))`` at 1 the calls run one after another
+    on the calling thread. Otherwise they go, in list order, to that many
+    forked worker processes, each on one numpy BLAS thread. Fork hands
+    ``fn`` and ``shared`` to each worker in the pages it shares with this
+    process, so no call pickles them; a spawned worker would also import
+    numpy and scipy again, about 0.6 s. The first error cancels the calls
+    not yet handed to a worker (the pool's queue holds ``workers + 1``) and
+    propagates once the workers have finished the rest; none is left running.
     """
-    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(a,))
+    workers = min(workers, len(calls))
+    if workers <= 1:
+        return [fn(shared, *call) for call in calls]
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(fn, shared))
+    try:
+        futures = [pool.submit(_call_in_worker, call) for call in calls]
+        for future in as_completed(futures):
+            future.result()  # raises the first error to come back
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Every record for the scenario, sorted by (sweep value, replicate, method).
 
-    Aborts if more than half of the runs at any grid point fail.
+    The cells run by :func:`_fan_out` on ``cfg.threads`` workers, at most
+    one per cell. Aborts if more than half of the runs at any grid point fail.
     """
-    tasks = [
-        (cfg, gi, rep)
-        for gi in range(len(cfg.grid))
-        for rep in range(cfg.replicates)
-    ]
-    if cfg.threads == 1:
-        chunks = [_run_cell(t) for t in tasks]
-    else:
-        with _worker_pool(cfg.threads) as pool:
-            chunks = list(pool.map(_run_cell, tasks))
+    cells = [(gi, rep) for gi in range(len(cfg.grid)) for rep in range(cfg.replicates)]
+    chunks = _fan_out(run_single, cfg, cells, cfg.threads)
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.sweep_value, r.replicate, r.method))
     for gi, value in enumerate(cfg.grid):
@@ -338,15 +351,11 @@ def _elbow_row(a: Tensor3, m: int, k: int, master_seed: int, eps_stop: float,
                max_iter: int) -> ElbowRow:
     """The row of candidate ``m``: spectral init, then the fit from it."""
     try:
-        w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, _STAGE_INIT))
+        w1 = spectral_init(a, m, substream(master_seed, _ELBOW_TAG, m, STAGE_INIT))
         fit = alma_fit(a, (k,) * m, w1, eps_stop=eps_stop, max_iter=max_iter)
         return ElbowRow(m, fit.objective, fit.iters_used, fit.converged, fit.stop_reason)
     except EstimationError as exc:
         return ElbowRow(m, float("nan"), 0, False, _failure_reason(exc))
-
-
-def _elbow_row_in_worker(*args) -> ElbowRow:
-    return _elbow_row(_worker_tensor, *args)
 
 
 def elbow_scan(
@@ -366,13 +375,11 @@ def elbow_scan(
     NaN row rather than dropped. Every m, ``k``, ``eps_stop`` and
     ``max_iter`` are checked before any fit starts.
 
-    The candidates are fitted in ``min(len(m_grid), usable CPUs)`` forked
-    worker processes, each on one BLAS thread, largest m first, since fit
-    cost grows with m. Fork shares ``a``'s pages with every worker, so no
-    task pickles it. The first error that is not an :class:`EstimationError`
-    cancels the candidates not yet started and propagates. Processes, not
-    threads: the dense Q-step runs in scipy's LAPACK wrappers, which hold
-    the GIL. With one usable CPU, one candidate or no BLAS pin
+    Each distinct m is fitted once, largest first, since fit cost grows with m,
+    by :func:`_fan_out` on one worker per usable CPU: forked processes, each
+    on one BLAS thread, that share ``a``'s pages. Processes, not threads:
+    the dense Q-step runs in scipy's LAPACK wrappers, which hold the GIL.
+    With one usable CPU, one candidate or no BLAS pin
     (``linalg.pin_blas_threads`` is None), the candidates are fitted one
     after another on the calling thread, with its BLAS thread count left as
     it is. The rows are the same either way.
@@ -383,19 +390,10 @@ def elbow_scan(
         if not 1 <= m <= L:
             raise ValueError(f"candidate m={m} out of range for L={L}")
     (k,) = _check_fit_args(n, (k,), eps_stop, max_iter)
-    fit_args = (k, master_seed, eps_stop, max_iter)
-    workers = min(len(grid), _usable_cpus()) if pin_blas_threads is not None else 1
-    if workers <= 1:
-        return [_elbow_row(a, m, *fit_args) for m in grid]
-    pool = _worker_pool(workers, a)
-    try:
-        futures = {i: pool.submit(_elbow_row_in_worker, grid[i], *fit_args)
-                   for i in sorted(range(len(grid)), key=lambda i: -grid[i])}
-        for future in as_completed(futures.values()):
-            future.result()  # raises the first error to come back
-        return [futures[i].result() for i in range(len(grid))]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    workers = _usable_cpus() if pin_blas_threads is not None else 1
+    calls = [(m, k, master_seed, eps_stop, max_iter) for m in sorted(set(grid), reverse=True)]
+    rows = {row.m: row for row in _fan_out(_elbow_row, a, calls, workers)}
+    return [rows[m] for m in grid]
 
 
 CSV_COLUMNS = (
@@ -555,7 +553,7 @@ def write_curves_svg(records, path, sweep_param: str) -> None:
 
 def emit_results(records, out_dir, formats=("csv",), sweep_param: str = "") -> dict:
     """Write runs.csv / summary.csv and optionally curves.svg; returns paths."""
-    unknown = set(formats) - {"csv", "svg"}
+    unknown = set(formats) - set(EMIT_FORMATS)
     if unknown:
         raise ValueError(f"unknown emit formats: {sorted(unknown)}")
     os.makedirs(out_dir, exist_ok=True)

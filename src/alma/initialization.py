@@ -1,9 +1,10 @@
 """Spectral warm start for the layer factor.
 
 The layer-mode unfolding of the adjacency tensor has one row per layer;
-its top left singular subspace separates layer groups. Clustering those
-embedding rows and orthonormalizing the resulting indicator matrix gives the
-starting factor for the alternating solver.
+its top left singular subspace, the top eigenvectors of the layers' Gram
+matrix, separates layer groups. Clustering those embedding rows and
+orthonormalizing the resulting indicator matrix gives the starting factor
+for the alternating solver.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 
 from .errors import InvalidPartitionError
 from .clustering import kmeans
-from .linalg import svd_top_left, sym_eig_topk
-from .tensors import Tensor3, mode1_matricize, mode23_product
+from .linalg import sym_eig_topk
+from .tensors import Tensor3, mode23_product
 
 
 def clustering_to_w(labels, m: int) -> np.ndarray:
@@ -38,19 +39,15 @@ def clustering_to_w(labels, m: int) -> np.ndarray:
 def spectral_init(a: Tensor3, m: int, rng, restarts: int = 20) -> np.ndarray:
     """Initial orthonormal layer factor from the unfolding's top-m subspace.
 
-    When n^2 exceeds L the subspace comes from the L-by-L Gram matrix of the
-    unfolding rows (same span, much smaller eigenproblem); otherwise from the
-    unfolding's SVD directly.
+    The subspace comes from the L-by-L Gram matrix of the unfolding rows,
+    which has the same span as the unfolding's top left singular vectors and
+    any m up to L, whichever of L and n^2 is larger.
     """
     L, n, n2 = a.dims
     if n != n2:
         raise ValueError("adjacency slices must be square")
     if not 1 <= m <= L:
         raise ValueError(f"m={m} out of range for L={L}")
-    if n * n > L:
-        gram = mode23_product(a, a)
-        embed = sym_eig_topk(gram, m, by_magnitude=True).vectors
-    else:
-        embed = svd_top_left(mode1_matricize(a), m)
+    embed = sym_eig_topk(mode23_product(a, a), m, by_magnitude=True).vectors
     labels = kmeans(embed, m, rng, restarts).labels
     return clustering_to_w(labels, m)

@@ -1,10 +1,12 @@
 """Deterministic eigen/SVD kernels shared across the pipeline.
 
-All factorizations come back in a canonical form: eigenpairs sorted by the
-requested key with stable tie order, and every eigen/singular vector signed
-so that its largest-magnitude coordinate is positive (lowest index wins a
-tie). Given equal inputs the outputs are bit-identical, which is what the
-reproducibility contract of the harness leans on.
+Eigenpairs come back sorted by the requested key in a stable tie order.
+:func:`sym_eig_topk` and :func:`svd_top_left` sign each vector so that its
+largest-magnitude coordinate is positive (lowest index wins a tie);
+:func:`rank_project` below full rank does not, as its pairs only enter
+V diag(w) V^T and the forms v^T A v, which no sign changes. Given equal
+inputs the outputs are bit-identical, which is what the reproducibility
+contract of the harness leans on.
 
 One dense kernel serves every eigenproblem: :func:`sym_eig_topk` and
 :func:`rank_project` return only the eigenpairs they keep, as

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alma import cli
+from alma import cli, harness
 from alma.cli import build_parser, main
 from alma.harness import fit_method
 from alma.initialization import spectral_init
@@ -167,6 +167,19 @@ def test_scenario_emits_results(tmp_path, capsys):
     assert (tmp_path / "res" / "curves.svg").exists()
     header = (tmp_path / "res" / "runs.csv").read_text().splitlines()[0]
     assert header.startswith("scenario,sweep_param,sweep_value")
+
+
+def test_scenario_rejects_a_bad_emit_list_before_any_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a cell was sampled")
+
+    monkeypatch.setattr(harness, "sample_instance", no_sampling)
+    err = usage_error(["scenario", "--scenario", "1", "--grid-points", "1", "--replicates", "1",
+                       "--n", "30", "--methods", "alma", "--emit", "csv,png",
+                       "--out", str(tmp_path / "res")], capsys)
+    assert err.splitlines()[-1] == ("alma scenario: error: argument --emit: "
+                                    "needs a comma list from csv,svg, got 'csv,png'")
+    assert not (tmp_path / "res").exists()
 
 
 def test_scenario_config_file_overrides(tmp_path, capsys):
@@ -468,7 +481,8 @@ def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fiel
                  "alma scenario: error: config field methods: needs a nonempty list of names "
                  "from alma, twist, got 'alma'", id="config-methods-not-a-list"),
     pytest.param(["scenario", "--scenario", "1", "--methods", "foo"],
-                 "alma scenario: error: --methods needs a comma list from alma,twist, got 'foo'",
+                 "alma scenario: error: argument --methods: "
+                 "needs a comma list from alma,twist, got 'foo'",
                  id="unknown-method"),
     pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/empty.json"],
                  "alma scenario: error: --config {dir}/empty.json: "

@@ -200,7 +200,7 @@ def test_cluster_factor_pair_deterministic_given_stream():
 @st.composite
 def kmeans_draws(draw):
     n = draw(st.integers(3, 150))
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 12))  # 8 and up: _sq_dist's pairwise-summed branch
     k = draw(st.integers(1, min(n, 6)))
     restarts = draw(st.integers(1, 25))
     seed = draw(st.integers(0, 2**32 - 1))

@@ -219,13 +219,13 @@ def test_elbow_drops_into_true_group_count():
         assert objs[1] - objs[2] < objs[0] - objs[1]
 
 
-def test_elbow_marks_degenerate_candidates_nan(monkeypatch, submitted):
+def test_elbow_marks_degenerate_candidates_nan(monkeypatch, pools):
     # in two worker processes, where a pin exists
     usable_cpus(monkeypatch, 2)
     _, gt = make_truth(82, n=20, L=14, m=2, k=2, p_max=0.9, alpha=0.3)
     rows = elbow_scan(gt.p_star, [2, 4], 2, master_seed=1)
     if harness.pin_blas_threads is not None:
-        assert submitted == [4, 2]
+        assert submitted_candidates(pools) == [4, 2]
     assert np.isfinite(rows[0].objective)
     assert math.isnan(rows[1].objective)
     assert rows[1].m == 4
@@ -260,6 +260,52 @@ def test_run_scenario_aborts_when_most_runs_fail(monkeypatch):
         hz.run_scenario(cfg)
 
 
+def test_run_scenario_forks_one_worker_per_cell_up_to_threads(pools):
+    cfg = tiny_cfg(methods=("alma",), threads=4)
+    records = run_scenario(cfg)
+    assert [(pool.forked, pool.calls) for pool in pools] == [(2, [((0, 0),), ((1, 0),)])]
+    assert [(r.sweep_value, r.replicate) for r in records] == [(v, 0) for v in cfg.grid]
+
+
+def test_run_scenario_runs_a_single_cell_in_process(monkeypatch, no_pool):
+    cells = []
+
+    def spy(cfg, grid_idx, replicate):
+        cells.append((threading.current_thread(), grid_idx, replicate))
+        return run_single(cfg, grid_idx, replicate)
+
+    monkeypatch.setattr(harness, "run_single", spy)
+    cfg = scenario_config(1, grid_points=1, n=16, L=10, replicates=1, kmeans_restarts=5,
+                          max_iter=40, methods=("alma",), threads=4)
+    assert len(run_scenario(cfg)) == 1
+    assert cells == [(threading.main_thread(), 0, 0)]
+
+
+def test_sweep_error_cancels_the_cells_not_yet_handed_to_a_worker(monkeypatch, tmp_path):
+    # 12 cells on 2 workers: cell 1 fails at once while cell 0 is still busy,
+    # and the error comes back before the later cells leave this process
+    started = tmp_path / "started"
+
+    def fail_second(cfg, grid_idx, replicate):
+        cell = grid_idx * cfg.replicates + replicate
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write(f"{cell}\n")
+        if cell == 1:
+            raise RuntimeError("cell failed")
+        time.sleep(1.0 if cell == 0 else 0.05)
+        return []
+
+    monkeypatch.setattr(harness, "run_single", fail_second)
+    cfg = scenario_config(1, grid_points=4, n=16, L=10, replicates=3, threads=2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_scenario(cfg)
+    assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+    ran = {int(cell) for cell in started.read_text(encoding="utf-8").split()}
+    assert {0, 1} <= ran and not ran & {9, 10, 11}
+
+
 def test_rows_say_why_each_fit_stopped(monkeypatch):
     import alma.harness as hz
 
@@ -276,8 +322,8 @@ def test_rows_say_why_each_fit_stopped(monkeypatch):
         assert (rec.failed, rec.converged, rec.stop_reason) == (True, False, reason)
 
 
-# The elbow scan fits its candidates in forked worker processes, one per
-# usable CPU, or one after another on the calling thread.
+# The elbow scan fits its candidates largest first, in forked worker
+# processes, one per usable CPU, or one after another on the calling thread.
 
 
 def elbow_input(seed=84, n=30):
@@ -310,33 +356,42 @@ def fitting_threads(monkeypatch):
 
 
 @pytest.fixture
-def submitted(monkeypatch):
-    """The m of every candidate submitted to a worker pool, in submission order."""
+def pools(monkeypatch):
+    """Every worker pool the harness starts, in order. Each counts the
+    processes it forked in ``forked`` and lists the arguments of each call
+    submitted to it in ``calls``, in submission order."""
     seen = []
-    make_pool = harness._worker_pool
 
-    def recording_pool(*args):
-        pool = make_pool(*args)
-        submit = pool.submit
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            self.forked, self.calls = 0, []
+            super().__init__(*args, **kwargs)
+            seen.append(self)
 
-        def recording_submit(fn, m, *rest):
-            seen.append(m)
-            return submit(fn, m, *rest)
+        def _spawn_process(self):
+            self.forked += 1
+            super()._spawn_process()
 
-        pool.submit = recording_submit
-        return pool
+        def submit(self, fn, /, *args, **kwargs):
+            self.calls.append(args)
+            return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_worker_pool", recording_pool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     return seen
+
+
+def submitted_candidates(pools) -> list:
+    """The m of every elbow candidate submitted to a worker, in submission order."""
+    return [args[0][0] for pool in pools for args in pool.calls]
 
 
 @pytest.fixture
 def no_pool(monkeypatch):
     """Fail the test if a worker pool starts."""
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
-    monkeypatch.setattr(harness, "_worker_pool", refuse)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
 
 
 @needs_blas_pin
@@ -353,39 +408,41 @@ def test_elbow_rows_do_not_depend_on_the_blas_thread_count(monkeypatch, n):
 
 @needs_blas_pin
 @pytest.mark.parametrize("n", [30, 450])
-def test_elbow_rows_are_the_same_at_one_and_two_workers(monkeypatch, submitted, n):
+def test_elbow_rows_are_the_same_at_one_and_two_workers(monkeypatch, pools, n):
     a = elbow_input(n=n)
     usable_cpus(monkeypatch, 1)
     serial = elbow_table(scan(a))
-    assert submitted == []
+    assert pools == []
     usable_cpus(monkeypatch, 2)
     assert elbow_table(scan(a)) == serial
-    assert sorted(submitted) == [1, 2, 3, 4]
+    assert sorted(submitted_candidates(pools)) == [1, 2, 3, 4]
 
 
 @needs_blas_pin
-def test_elbow_submits_the_largest_candidate_first(monkeypatch, submitted, fitting_threads):
+def test_elbow_submits_the_largest_candidate_first(monkeypatch, pools, fitting_threads):
     usable_cpus(monkeypatch, 2)
     rows = scan(elbow_input(), grid=(2, 1, 4, 3))
-    assert submitted == [4, 3, 2, 1]
+    assert submitted_candidates(pools) == [4, 3, 2, 1]
     assert [r.m for r in rows] == [2, 1, 4, 3]
     assert fitting_threads == []  # every fit ran in a worker
 
 
-@pytest.mark.parametrize("cpus, grid", [(1, (2, 1, 4, 3)), (2, (3,))],
-                         ids=["one-cpu", "one-candidate"])
+@pytest.mark.parametrize("cpus, grid", [(1, (2, 1, 4, 3)), (2, (3,)), (1, (2, 1, 2))],
+                         ids=["one-cpu", "one-candidate", "one-cpu-repeated-m"])
 def test_elbow_with_one_cpu_or_one_candidate_runs_serially(monkeypatch, no_pool,
                                                            fitting_threads, cpus, grid):
     usable_cpus(monkeypatch, cpus)
     rows = scan(elbow_input(), grid=grid)
-    assert fitting_threads == [(threading.main_thread(), m) for m in grid]
+    # each distinct m once, largest first
+    assert fitting_threads == [(threading.main_thread(), m)
+                               for m in sorted(set(grid), reverse=True)]
     assert [r.m for r in rows] == list(grid)
 
 
 def test_elbow_without_the_pin_runs_serially(monkeypatch, fitting_threads):
     monkeypatch.setattr(harness, "pin_blas_threads", None)
     rows = scan(elbow_input(), grid=(2, 1, 4, 3))
-    assert fitting_threads == [(threading.main_thread(), m) for m in (2, 1, 4, 3)]
+    assert fitting_threads == [(threading.main_thread(), m) for m in (4, 3, 2, 1)]
     assert [r.m for r in rows] == [2, 1, 4, 3]
 
 

@@ -44,12 +44,21 @@ def test_spectral_init_exact_on_noiseless_gram_branch():
     assert best_permutation_error(inst.layer_labels, labels, 3)[0] == 0.0
 
 
-def test_spectral_init_exact_on_noiseless_svd_branch():
-    # L >= n^2 exercises the direct unfolding path
+def test_spectral_init_exact_on_noiseless_input_with_more_layers_than_node_pairs():
+    # L >= n^2: the Gram is larger than the unfolding is wide
     inst, gt = make_truth(0, n=3, L=10, m=2, k=2, p_max=0.9, alpha=0.2)
     w = spectral_init(gt.p_star, 2, substream(0, 2))
     labels = np.array([int(np.abs(row).argmax()) for row in w])
     assert best_permutation_error(inst.layer_labels, labels, 2)[0] == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 4, 5])
+def test_spectral_init_takes_more_groups_than_node_pairs(m):
+    # n^2 = 4 < m <= L: the unfolding has fewer columns than m, the Gram does not
+    _, _, a = make_noisy(0, n=2, L=6, m=2, k=1, p_max=0.9, alpha=0.5)
+    w = spectral_init(a, m, substream(0, 2))
+    assert w.shape == (6, m)
+    assert np.allclose(w.T @ w, np.eye(m), atol=1e-12)
 
 
 def test_spectral_init_validates_args():
