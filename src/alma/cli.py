@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .diagnostics import beta_nl, check_a1, condition_numbers, kappa_h
+from .errors import EstimationError
 from .harness import (
     EMIT_FORMATS,
     METHODS,
@@ -199,15 +200,6 @@ def _check_input_dims(a, groups_flag: str, groups: int, ranks) -> None:
         raise _UsageError(f"--communities {max(ranks)} exceeds the input's {n} nodes")
 
 
-def _check_twist_rank(a, groups: int, twist_r: int) -> None:
-    """Twist's node rank must lie in [groups, nodes]."""
-    n = a.dims[1]
-    if twist_r < groups:
-        raise _UsageError(f"--twist-r {twist_r} is below --groups {groups}")
-    if twist_r > n:
-        raise _UsageError(f"--twist-r {twist_r} exceeds the input's {n} nodes")
-
-
 def _existing_file(flag: str, path: str) -> str:
     if not os.path.isfile(path):
         raise _UsageError(f"{flag} {path}: no such file")
@@ -232,26 +224,26 @@ def _cmd_fit(args) -> int:
     m = args.groups
     ranks = _parse_ranks(args.communities, m)
     _check_input_dims(a, "--groups", m, ranks)
-    if args.method == "twist":
-        _check_twist_rank(a, m, args.twist_r)
+    settings = dict(eps_stop=args.eps, max_iter=args.max_iter, restarts=args.restarts,
+                    twist_r=args.twist_r, twist_iter_max=args.twist_iters)
+    try:
+        METHODS[args.method][1](a.dims[1], ranks, **settings)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     w1 = spectral_init(a, m, substream(args.seed, STAGE_INIT), restarts=args.restarts)
-    res, iters, converged, fit = fit_method(
-        a, args.method, ranks, w1, (args.seed,),
-        eps_stop=args.eps, max_iter=args.max_iter, restarts=args.restarts,
-        twist_r=args.twist_r, twist_iter_max=args.twist_iters,
-    )
+    fit = fit_method(a, args.method, ranks, w1, (args.seed,), **settings)
+    # a method without a factor pair has no objective or final step to report
     payload = {
         "method": args.method,
-        "layer_labels": res.layer_labels.tolist(),
-        "node_labels": [g.tolist() for g in res.node_labels],
-        "iters": iters,
-        "converged": converged,
+        "layer_labels": fit.result.layer_labels.tolist(),
+        "node_labels": [g.tolist() for g in fit.result.node_labels],
+        "iters": fit.iters,
+        "converged": fit.converged,
+        "objective": getattr(fit.pair, "objective", None),
+        "stop_reason": fit.stop_reason,
+        "final_step": getattr(fit.pair, "final_step", None),
     }
-    if fit is None:
-        payload["stop_reason"] = "budget"  # twist has no stop test
-    else:
-        payload.update(objective=fit.objective, stop_reason=fit.stop_reason,
-                       final_step=fit.final_step)
+    payload = {key: value for key, value in payload.items() if value is not None}
     text = json.dumps(payload, indent=1)
     print(_write_output(args.out, "fit.json", text) if args.out else text)
     return 0
@@ -466,6 +458,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         parser.exit(2, f"alma {args.command}: error: {exc}\n")
+    except EstimationError as exc:
+        parser.exit(1, f"alma {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ with more or fewer layers than nodes (3, 4). Every (grid point, replicate)
 task derives all of its randomness from the master seed and its own integer
 path, so runs can fan out across processes and still produce byte-identical
 results; wall-clock seconds are the only nondeterministic column.
-:func:`fit_method` is the fit pipeline shared by the cells and ``alma fit``.
+:func:`fit_method` checks and fits one :data:`METHODS` entry for a cell or ``alma fit``.
 """
 
 from __future__ import annotations
@@ -15,22 +15,23 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .clustering import cluster_factor_pair
+from .clustering import ClusteringResult, cluster_factor_pair
 from .errors import DegenerateIterateError, EstimationError
 from .initialization import spectral_init
 from .linalg import pin_blas_threads, sym_eig_topk
 from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
-from .solver import _check_fit_args, alma_fit
+from .solver import FactorPair, _check_fit_args, alma_fit
 from .tensors import Tensor3
 from .twist import twist_fit
 
-METHODS = ("alma", "twist")
+# a scenario's methods unless told otherwise; a new method joins METHODS only
+DEFAULT_METHODS = ("alma", "twist")
 EMIT_FORMATS = ("csv", "svg")
 
 # stream-path stage tags
@@ -55,7 +56,7 @@ class ScenarioConfig:
     grid: tuple
     replicates: int = 20
     master_seed: int = 0
-    methods: tuple = METHODS
+    methods: tuple = DEFAULT_METHODS
     eps_stop: float = 1e-4
     max_iter: int = 100
     kmeans_restarts: int = 20
@@ -70,9 +71,9 @@ class ScenarioConfig:
             raise ValueError("grid must be nonempty")
         if self.replicates < 1 or self.threads < 1:
             raise ValueError("replicates and threads must be >= 1")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}")
+        names = set(self.methods)
+        if not self.methods or len(names) < len(self.methods) or not names <= METHODS.keys():
+            raise ValueError(f"need distinct methods from {', '.join(METHODS)}, got {self.methods}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} must lie in [0, 1]")
         # every cell is checked before any is sampled
@@ -84,9 +85,16 @@ class ScenarioConfig:
             if self.K > n or self.M > L:
                 raise ValueError(f"{at}: need K <= n and M <= L, got K={self.K}, n={n}, "
                                  f"M={self.M}, L={L}")
-            if "twist" in self.methods and not self.M <= self.twist_r <= n:
-                raise ValueError(f"{at}: twist needs M <= twist_r <= n, got M={self.M}, "
-                                 f"twist_r={self.twist_r}, n={n}")
+            try:
+                for method in self.methods:
+                    METHODS[method][1](n, (self.K,) * self.M, **self.fit_settings())
+            except ValueError as exc:
+                raise ValueError(f"{at}: {exc}") from None
+
+    def fit_settings(self) -> dict:
+        """The :func:`fit_method` settings of every cell."""
+        return dict(eps_stop=self.eps_stop, max_iter=self.max_iter, restarts=self.kmeans_restarts,
+                    twist_r=self.twist_r, twist_iter_max=self.twist_iter_max)
 
 
 # per-scenario fixed parameters and sweep ranges
@@ -166,40 +174,64 @@ def _seed_id(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def fit_method(
-    a: Tensor3, method: str, ranks, w_init: np.ndarray, seed_path, *,
-    eps_stop: float, max_iter: int, restarts: int, twist_r: int, twist_iter_max: int,
-):
-    """Fit one method from a layer-factor warm start and extract its labels.
+@dataclass(frozen=True)
+class Fit:
+    """One method's fit; ``pair`` is alma's :class:`FactorPair`, None for twist."""
+    result: ClusteringResult
+    iters: int
+    stop_reason: str  # "converged" or "budget"
+    pair: FactorPair | None = None
 
-    ``method`` is ``"alma"`` (alternating sweeps) or ``"twist"`` (the Tucker
-    baseline, warm-started with the HOSVD node factor: the top ``twist_r``
-    eigenvectors of sum_l A_l^2, as De Lathauwer, De Moor & Vandewalle 2000
-    take it). Labels come from :func:`cluster_factor_pair` on stream
-    ``substream(*seed_path, 3)`` for alma and ``substream(*seed_path, 4)`` for
-    twist. Returns ``(result, iters, converged, fit)``, where ``fit`` is the
-    alma :class:`FactorPair` and None for twist. Twist has no stop test and
-    always runs ``twist_iter_max`` sweeps, so its stop reason is ``"budget"``
-    and, like any fit that runs its budget, it is flagged unconverged.
-    """
-    if method == "alma":
-        fit = alma_fit(a, ranks, w_init, eps_stop=eps_stop, max_iter=max_iter)
-        res = cluster_factor_pair(
-            a, fit.w, ranks, substream(*seed_path, STAGE_ALMA_CLUSTER), restarts=restarts
-        )
-        return res, fit.iters_used, fit.converged, fit
-    if method != "twist":
-        raise ValueError(f"unknown method {method!r}")
-    # the HOSVD node factor: top eigenvectors of sum_l A_l^2. A's array, read
-    # as (L n, n) rows, stacks the rows of every slice, and R^T R = sum_l
-    # A_l^T A_l, which is sum_l A_l^2 since the slices are symmetric
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+
+def _fit_alma(a, ranks, w_init, seed_path, *, eps_stop, max_iter, restarts, **_) -> Fit:
+    pair = alma_fit(a, ranks, w_init, eps_stop=eps_stop, max_iter=max_iter)
+    res = cluster_factor_pair(
+        a, pair.w, ranks, substream(*seed_path, STAGE_ALMA_CLUSTER), restarts=restarts
+    )
+    return Fit(res, pair.iters_used, pair.stop_reason, pair)
+
+
+def _fit_twist(a, ranks, w_init, seed_path, *, restarts, twist_r, twist_iter_max, **_) -> Fit:
+    # the HOSVD node factor (De Lathauwer et al. 2000), the top eigenvectors of
+    # sum_l A_l^2: A's array, read as (L n, n) rows R, stacks every slice's rows,
+    # and R^T R = sum_l A_l^T A_l, which is sum_l A_l^2 for symmetric slices
     unfolding_t = a.array.reshape(-1, a.dims[1])
     u0 = sym_eig_topk(unfolding_t.T @ unfolding_t, twist_r).vectors
     _, w_hat = twist_fit(a, u0, w_init, iter_max=twist_iter_max)
     res = cluster_factor_pair(
         a, w_hat, ranks, substream(*seed_path, STAGE_TWIST_CLUSTER), restarts=restarts
     )
-    return res, twist_iter_max, False, None
+    return Fit(res, twist_iter_max, "budget")  # no stop test: it runs its budget
+
+
+def _check_twist(n, ranks, *, twist_r, **_) -> None:
+    if not len(ranks) <= twist_r <= n:
+        raise ValueError(f"twist needs M <= twist_r <= n, got M={len(ranks)}, "
+                         f"twist_r={twist_r}, n={n}")
+
+
+# name -> (fit, check): fit(a, ranks, w_init, seed_path, **settings) -> Fit, and
+# check(n, ranks, **settings) raises ValueError for settings it cannot fit n nodes with
+METHODS = {"alma": (_fit_alma, _check_fit_args), "twist": (_fit_twist, _check_twist)}
+
+
+def fit_method(a: Tensor3, method: str, ranks, w_init: np.ndarray, seed_path,
+               **settings) -> Fit:
+    """Check, then fit, one :data:`METHODS` entry from a layer-factor warm start.
+
+    ``settings`` are ``eps_stop``, ``max_iter``, ``restarts``, ``twist_r`` and
+    ``twist_iter_max``. Labels come from :func:`cluster_factor_pair` on stream
+    ``substream(*seed_path, 3)`` for alma and ``substream(*seed_path, 4)`` for twist.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    fit, check = METHODS[method]
+    check(a.dims[1], ranks, **settings)
+    return fit(a, ranks, w_init, seed_path, **settings)
 
 
 def _failure_reason(exc: EstimationError) -> str:
@@ -233,36 +265,17 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
         t0 = time.perf_counter()
         r_bl = r_wl = float("nan")
         iters = 0
-        converged = False
         try:
-            res, iters, converged, fit = fit_method(
-                a, method, ranks, w1, (cfg.master_seed, *path),
-                eps_stop=cfg.eps_stop, max_iter=cfg.max_iter,
-                restarts=cfg.kmeans_restarts,
-                twist_r=cfg.twist_r, twist_iter_max=cfg.twist_iter_max,
-            )
-            stop_reason = "budget" if fit is None else fit.stop_reason
-            score = score_result(inst, res)
+            fit = fit_method(a, method, ranks, w1, (cfg.master_seed, *path), **cfg.fit_settings())
+            iters, stop_reason = fit.iters, fit.stop_reason
+            score = score_result(inst, fit.result)
             r_bl, r_wl = score.r_bl, score.r_wl
         except EstimationError as exc:
-            converged = False
             stop_reason = _failure_reason(exc)
-        records.append(
-            RunRecord(
-                scenario=cfg.scenario,
-                sweep_param=cfg.sweep_param,
-                sweep_value=float(value),
-                replicate=replicate,
-                method=method,
-                r_bl=r_bl,
-                r_wl=r_wl,
-                iters=iters,
-                converged=converged,
-                seconds=time.perf_counter() - t0,
-                seed=seed_id,
-                stop_reason=stop_reason,
-            )
-        )
+        records.append(RunRecord(
+            cfg.scenario, cfg.sweep_param, float(value), replicate, method, r_bl, r_wl, iters,
+            stop_reason == "converged", time.perf_counter() - t0, seed_id, stop_reason,
+        ))
     return records
 
 
@@ -325,15 +338,12 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     chunks = _fan_out(run_single, cfg, cells, cfg.threads)
     records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.sweep_value, r.replicate, r.method))
-    for gi, value in enumerate(cfg.grid):
-        for method in cfg.methods:
-            cell = [r for r in records if r.sweep_value == float(value) and r.method == method]
-            failed = sum(1 for r in cell if r.failed)
-            if cell and failed * 2 > len(cell):
-                raise EstimationError(
-                    f"{failed}/{len(cell)} {method} runs failed at "
-                    f"{cfg.sweep_param}={value}"
-                )
+    for row in aggregate(records):
+        if row["n_failed"] * 2 > row["n_runs"]:
+            raise EstimationError(
+                f"{row['n_failed']}/{row['n_runs']} {row['method']} runs failed at "
+                f"{cfg.sweep_param}={row['sweep_value']}"
+            )
     return records
 
 
@@ -415,11 +425,7 @@ def write_runs_csv(records, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.scenario, r.sweep_param, _fmt(r.sweep_value), r.replicate, r.method,
-                _fmt(r.r_bl), _fmt(r.r_wl), r.iters, _fmt(r.converged),
-                _fmt(r.seconds), r.seed, r.stop_reason,
-            ])
+            writer.writerow([_fmt(v) for v in astuple(r)])
 
 
 def aggregate(records) -> list:

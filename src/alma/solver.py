@@ -239,7 +239,7 @@ def w_update(a: Tensor3, q) -> np.ndarray:
     return polar_project(_slice_correlations(a, q))
 
 
-def _check_fit_args(n: int, ranks, eps_stop: float, max_iter: int) -> tuple:
+def _check_fit_args(n: int, ranks, eps_stop: float, max_iter: int, **_) -> tuple:
     """``ranks`` as ints, once they and the stop settings pass :func:`alma_fit`'s checks."""
     if eps_stop < 0.0:
         raise ValueError("eps_stop must be nonnegative")

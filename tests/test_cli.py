@@ -8,6 +8,7 @@ import pytest
 
 from alma import cli, harness
 from alma.cli import build_parser, main
+from alma.errors import DegenerateIterateError
 from alma.harness import fit_method
 from alma.initialization import spectral_init
 from alma.sampling import substream
@@ -113,13 +114,14 @@ def test_fit_prints_the_fit_method_result(tmp_path, capsys, method):
     assert code == 0
     payload = json.loads(out)
     a = read_tensor(path)
-    res, iters, converged, _ = fit_method(
+    fit = fit_method(
         a, method, (2, 2), spectral_init(a, 2, substream(9, 2), restarts=20), (9,),
         eps_stop=1e-4, max_iter=100, restarts=20, twist_r=7, twist_iter_max=50,
     )
-    assert payload["layer_labels"] == res.layer_labels.tolist()
-    assert payload["node_labels"] == [g.tolist() for g in res.node_labels]
-    assert (payload["iters"], payload["converged"]) == (iters, converged)
+    assert payload["layer_labels"] == fit.result.layer_labels.tolist()
+    assert payload["node_labels"] == [g.tolist() for g in fit.result.node_labels]
+    assert (payload["iters"], payload["converged"]) == (fit.iters, fit.converged)
+    assert payload["stop_reason"] == fit.stop_reason
     # a fit that ran its budget is flagged unconverged, twist's included
     assert payload["stop_reason"] == ("converged" if payload["converged"] else "budget")
 
@@ -284,9 +286,9 @@ def test_generate_rejects_conflicting_sizes(tmp_path, capsys, argv, message):
     (["elbow", "--m-max", "3", "--communities", "40"],
      "alma elbow: error: --communities 40 exceeds the input's 30 nodes"),
     (["fit", "--method", "twist", "--twist-r", "2", "--groups", "3", "--communities", "2"],
-     "alma fit: error: --twist-r 2 is below --groups 3"),
+     "alma fit: error: twist needs M <= twist_r <= n, got M=3, twist_r=2, n=30"),
     (["fit", "--method", "twist", "--twist-r", "40", "--groups", "2", "--communities", "2"],
-     "alma fit: error: --twist-r 40 exceeds the input's 30 nodes"),
+     "alma fit: error: twist needs M <= twist_r <= n, got M=2, twist_r=40, n=30"),
 ])
 def test_sizes_beyond_the_input_fail_before_any_fit(tmp_path, capsys, monkeypatch, argv, message):
     run_cli(["generate", "--n", "30", "--layers", "6", "--groups", "2", "--communities", "2",
@@ -484,6 +486,10 @@ def test_scenario_rejects_a_bad_config_field_when_loading(tmp_path, capsys, fiel
                  "alma scenario: error: argument --methods: "
                  "needs a comma list from alma,twist, got 'foo'",
                  id="unknown-method"),
+    pytest.param(["scenario", "--scenario", "1", "--grid-points", "1", "--replicates", "1",
+                  "--n", "30", "--methods", "alma,alma", "--out", "{dir}/res"],
+                 "alma scenario: error: need distinct methods from alma, twist, "
+                 "got ('alma', 'alma')", id="repeated-method"),
     pytest.param(["scenario", "--scenario", "1", "--config", "{dir}/empty.json"],
                  "alma scenario: error: --config {dir}/empty.json: "
                  "Expecting value: line 1 column 1 (char 0)", id="config-not-json"),
@@ -541,6 +547,36 @@ def test_usage_errors_exit_2_with_the_command_prefix(tmp_path, capsys, argv, mes
         assert usage[0].startswith(f"usage: alma {argv[0]} ")
         assert all(line.startswith(" ") for line in usage[1:])
     assert not (tmp_path / "res").exists() and not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-dir"])
+def test_a_fit_that_fails_exits_1_with_one_error_line(tmp_path, capsys, out):
+    # five groups on an n=2 draw: the first W-step loses rank
+    run_cli(["generate", "--n", "2", "--layers", "6", "--groups", "2", "--communities", "1",
+             "--seed", "0", "--out", str(tmp_path)], capsys)
+    argv = ["fit", "--input", str(tmp_path / "adjacency.bin"), "--groups", "5",
+            "--communities", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + (["--out", str(tmp_path / "fitted")] if out else []))
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("alma fit: error: degenerate iterate at sweep 1: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "fitted").exists()
+
+
+def test_a_scenario_that_aborts_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise DegenerateIterateError(1)
+
+    monkeypatch.setattr(harness, "fit_method", failing_fit)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scenario", "--scenario", "1", "--grid-points", "1", "--replicates", "1",
+              "--n", "30", "--methods", "alma", "--out", str(tmp_path / "res")])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr() == ("", "alma scenario: error: 1/1 alma runs failed at p_max=0.3\n")
+    assert not (tmp_path / "res").exists()
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--grid-points", "--replicates"])

@@ -5,6 +5,7 @@ import re
 import threading
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from alma.harness import (
     aggregate,
     elbow_scan,
     emit_results,
+    fit_method,
     run_scenario,
     run_single,
     scenario_config,
@@ -73,6 +75,12 @@ def test_scenario_config_rejects_bad_input():
         scenario_config(1, replicates=0)
     with pytest.raises(TypeError):
         scenario_config(1, nope=3)
+
+
+@pytest.mark.parametrize("methods", [(), ("alma", "alma")], ids=["empty", "repeated"])
+def test_scenario_config_rejects_an_empty_or_repeated_method_list(methods):
+    with pytest.raises(ValueError, match="need distinct methods from alma, twist"):
+        scenario_config(1, methods=methods)
 
 
 def test_scenario_config_checks_every_grid_point():
@@ -320,6 +328,15 @@ def test_rows_say_why_each_fit_stopped(monkeypatch):
         monkeypatch.setattr(hz, "fit_method", failing_fit)
         rec = hz.run_single(tiny_cfg(methods=("alma",)), 0, 0)[0]
         assert (rec.failed, rec.converged, rec.stop_reason) == (True, False, reason)
+    # a row's converged flag and stop reason are the fit record's
+    real_fit = fit_method
+
+    def converged_fit(*args, **kwargs):
+        return replace(real_fit(*args, **kwargs), iters=5, stop_reason="converged")
+
+    monkeypatch.setattr(hz, "fit_method", converged_fit)
+    rec = hz.run_single(tiny_cfg(methods=("twist",)), 0, 0)[0]
+    assert (rec.failed, rec.iters, rec.converged, rec.stop_reason) == (False, 5, True, "converged")
 
 
 # The elbow scan fits its candidates largest first, in forked worker

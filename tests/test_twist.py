@@ -19,11 +19,13 @@ def default_inits(a, m, r, rng):
 
 def fit_twist(a, ranks, r, iter_max, seed):
     w0 = spectral_init(a, len(ranks), substream(seed, 2))
-    res, _, _, _ = fit_method(
+    fit = fit_method(
         a, "twist", ranks, w0, (seed,), eps_stop=1e-4, max_iter=100,
         restarts=20, twist_r=r, twist_iter_max=iter_max,
     )
-    return res
+    # twist has no stop test and no factor pair
+    assert (fit.iters, fit.stop_reason, fit.converged, fit.pair) == (iter_max, "budget", False, None)
+    return fit.result
 
 
 def test_config_validation():
