@@ -7,6 +7,9 @@ For every seed S it writes under ``OUT_DIR/seed-S/``:
 
 * ``fit-large/fit.json``: ``alma fit --input --eps 0`` on the fit-large input
   (n=600, the full 100-sweep budget);
+* ``fit-large-cpu1/fit.json``: the same fit with the CLI held to one CPU, so
+  that it runs its sweeps in one process instead of sharing them with a
+  forked helper. It equals ``fit-large/fit.json``;
 * ``sweep-threads1/runs.csv`` and ``sweep-threads2/runs.csv``: ``alma
   scenario`` on the sweep workload's cells of stock scenario 1 at
   ``--threads 1`` and ``--threads 2``, with the ``seconds`` column blanked;
@@ -74,10 +77,11 @@ def digest_seed(seed: int, out: str, src: str, tmp: str) -> None:
 
     fit_in = os.path.join(tmp, "fit-large")
     _run([gen, "fit-large", str(seed), fit_in], src, tmp)
-    _run(alma + ["fit", "--input", os.path.join(fit_in, "adjacency.bin"),
-                 "--groups", str(inputs.FIT["M"]), "--communities", str(inputs.FIT["K"]),
-                 "--eps", str(inputs.FIT_EPS), "--seed", str(seed),
-                 "--out", os.path.join(out, "fit-large")], src, tmp)
+    for name, one_cpu in (("fit-large", False), ("fit-large-cpu1", True)):
+        _run(alma + ["fit", "--input", os.path.join(fit_in, "adjacency.bin"),
+                     "--groups", str(inputs.FIT["M"]), "--communities", str(inputs.FIT["K"]),
+                     "--eps", str(inputs.FIT_EPS), "--seed", str(seed),
+                     "--out", os.path.join(out, name)], src, tmp, one_cpu=one_cpu)
 
     for threads in (1, 2):
         res = os.path.join(tmp, f"sweep-threads{threads}")

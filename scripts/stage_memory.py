@@ -12,8 +12,13 @@ workload's, ``--groups 3 --communities 3 --eps 0``; any option given replaces
 them all. The fit's JSON is discarded. tracemalloc sees numpy's array
 buffers but not what BLAS or LAPACK allocate for themselves. So the first
 line is the process's max RSS right after the ``alma`` import, the floor
-every stage starts from, and the last line is its max RSS at the end, which
-counts everything.
+every stage starts from. The last two lines are its max RSS at the end,
+which counts everything in this process, and the largest max RSS of a child
+process (``RUSAGE_CHILDREN``). That is the sweep helper with which a fit
+from ``linalg.LANCZOS_MIN_N`` nodes and two groups up shares its sweeps when
+two CPUs are usable; with none, it reads the few MB of whatever ran before
+the interpreter started. Both processes count the tensor's pages and the
+shared mode-1 product's.
 
 An input at the fit-large size comes from ``python3 bench/inputs.py fit-large
 SEED DIR`` (``DIR/adjacency.bin``) or from ``alma generate --n 600 --layers
@@ -75,7 +80,9 @@ def main(argv) -> int:
     for name, start, peak, end in rows:
         print(f"{name:<12}{start / mb:>10.1f}{peak / mb:>10.1f}{end / mb:>10.1f}")
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    helper = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
     print(f"max RSS of this process: {rss:.1f} MB")
+    print(f"max RSS of a sweep helper: {helper:.1f} MB")
     return 0
 
 

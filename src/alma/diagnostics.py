@@ -115,7 +115,7 @@ def condition_numbers(gt: GroundTruth, ranks, p_max: float) -> ConditionNumbers:
     gram = mode23_product(gt.q_star_full, gt.q_star_full)
     ev = np.linalg.eigvalsh((gram + gram.T) / 2.0)
     if ev[-1] <= 0.0 or ev[0] <= 1e-12 * ev[-1]:
-        raise RankDeficientError(max(ev[0], 0.0), max(ev[-1], 0.0), "slice Gram is singular")
+        raise RankDeficientError(ev[0], ev[-1], "slice Gram is singular")
     kappa0 = float(ev[-1] / ev[0])
     kappa1 = float(p_max**2 * n * n * L / np.linalg.norm(gt.q_star_full.array) ** 2)
     sig_min = np.inf

@@ -10,17 +10,28 @@ class InvalidPartitionError(EstimationError):
 
 
 class RankDeficientError(EstimationError):
-    """A matrix that must have full column rank is numerically rank deficient."""
+    """A matrix that must have full column rank is numerically rank deficient.
+
+    ``sigma_min`` and ``sigma_max`` are stored clipped at zero, so that
+    neither a rounded negative eigenvalue nor a -0.0 from the SVD prints
+    with a minus sign.
+    """
 
     def __init__(self, sigma_min, sigma_max, message=None):
-        self.sigma_min = float(sigma_min)
-        self.sigma_max = float(sigma_max)
+        self.sigma_min = _non_negative(sigma_min)
+        self.sigma_max = _non_negative(sigma_max)
         if message is None:
             message = (
                 f"rank deficient input: sigma_min={self.sigma_min:.3e} "
                 f"vs sigma_max={self.sigma_max:.3e}"
             )
         super().__init__(message)
+
+
+def _non_negative(value) -> float:
+    # -0.0 <= 0.0 holds, so -0.0 reads 0.0; NaN passes through
+    value = float(value)
+    return 0.0 if value <= 0.0 else value
 
 
 class DegenerateIterateError(EstimationError):

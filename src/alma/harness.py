@@ -22,7 +22,7 @@ import numpy as np
 from .clustering import ClusteringResult, cluster_factor_pair
 from .errors import DegenerateIterateError, EstimationError
 from .initialization import spectral_init
-from .linalg import pin_blas_threads, sym_eig_topk
+from .linalg import _become_worker, _usable_cpus, pin_blas_threads, sym_eig_topk
 from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
@@ -279,21 +279,13 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
     return records
 
 
-def _usable_cpus() -> int:
-    # the CPUs this process may run on; called only where the BLAS pin
-    # exists, i.e. on Linux
-    return len(os.sched_getaffinity(0))
-
-
 # the (fn, shared) pair a worker process runs its calls with, set once per worker
 _worker_job = None
 
 
 def _start_worker(fn, shared) -> None:
     global _worker_job
-    # one BLAS thread per worker process, so the workers do not oversubscribe the cores
-    if pin_blas_threads is not None:
-        pin_blas_threads(1)
+    _become_worker()
     _worker_job = (fn, shared)
 
 

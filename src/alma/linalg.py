@@ -37,15 +37,22 @@ default two threads its calls contend with numpy's pool, and fits ran
 slower than with numpy's general product.
 
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
-so concurrent worker processes can each run single-threaded BLAS instead of
+so concurrent processes can each run single-threaded BLAS instead of
 oversubscribing the cores; it is None when numpy does not bundle an OpenBLAS
-that has it.
+that has it. The count is process-wide, and two callers pin it: a forked
+fan-out worker of the harness (:func:`_become_worker`) pins its own for
+good, and a fit whose sweeps are shared with forked helpers
+(:mod:`alma.solver`) pins numpy's and scipy's counts for the fit, before
+it forks, so that the helpers inherit them
+(:func:`_blas_on_one_thread_across_forks`), and puts back the counts it
+found.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import multiprocessing
 import os
 import threading
 import warnings
@@ -110,6 +117,34 @@ def _pin_blas_threads(count: int = 1) -> int:
 
 # None when numpy's BLAS is not an OpenBLAS with the thread-count setter
 pin_blas_threads = _pin_blas_threads if _openblas_threads_local is not None else None
+
+
+# True in a fan-out worker process, which runs beside its siblings (see _become_worker)
+_in_worker = False
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; one in a worker process, and in a
+    daemonic process, which multiprocessing does not let fork children.
+
+    Called only where the BLAS pin exists, i.e. on Linux.
+    """
+    if _in_worker or multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _become_worker() -> None:
+    """Set up a forked fan-out worker process that runs beside its siblings.
+
+    numpy's BLAS goes to one thread, so the workers do not oversubscribe the
+    cores, and :func:`_usable_cpus` reads one, so a fit in the worker forks
+    no sweep helper of its own.
+    """
+    global _in_worker
+    _in_worker = True
+    if pin_blas_threads is not None:
+        pin_blas_threads(1)
 
 
 class EigPairs(NamedTuple):
@@ -329,6 +364,11 @@ def _certified_topk(a: np.ndarray, k: int, cert: Certificate):
     return None
 
 
+# True inside _blas_on_one_thread_across_forks, in the caller and in every
+# child it forks there
+_held_on_one_thread = False
+
+
 @contextmanager
 def _scipy_blas_on_one_thread():
     """Run scipy's OpenBLAS on one thread inside the block, then put its count back.
@@ -336,9 +376,10 @@ def _scipy_blas_on_one_thread():
     Its pool contends with numpy's: right after a numpy BLAS call, a blocked
     ``dsytrd`` at n=100 took 3.0 ms on scipy's default two threads and 0.17
     ms on one. The lock keeps concurrent callers from restoring each other's
-    counts.
+    counts. Inside :func:`_blas_on_one_thread_across_forks` the count is one
+    already and is left alone.
     """
-    if _scipy_openblas_threads_local is None:
+    if _scipy_openblas_threads_local is None or _held_on_one_thread:
         yield
         return
     with _scipy_blas_lock:
@@ -347,6 +388,34 @@ def _scipy_blas_on_one_thread():
             yield
         finally:
             _scipy_openblas_threads_local(found)
+
+
+@contextmanager
+def _blas_on_one_thread_across_forks():
+    """numpy's and scipy's OpenBLAS on one thread inside the block, in this
+    process and in every child forked there, which inherits the counts.
+
+    A fork shuts both libraries' thread pools down, and setting a count
+    after it starts a pool again, whose new threads busy-wait for about
+    0.1 s on the CPUs the processes need. So both counts are set here once,
+    before any fork, and no process sets them again inside the block
+    (:func:`_scipy_blas_on_one_thread` leaves scipy's alone); on exit the
+    counts found are put back. Needs :data:`pin_blas_threads`.
+    """
+    global _held_on_one_thread
+    numpy_found = pin_blas_threads(1)
+    with _scipy_blas_lock:
+        scipy_found = (_scipy_openblas_threads_local(1)
+                       if _scipy_openblas_threads_local is not None else None)
+        _held_on_one_thread = True
+    try:
+        yield
+    finally:
+        with _scipy_blas_lock:
+            _held_on_one_thread = False
+            if scipy_found is not None:
+                _scipy_openblas_threads_local(scipy_found)
+        pin_blas_threads(numpy_found)
 
 
 @lru_cache(maxsize=64)

@@ -38,6 +38,29 @@ G[l, m] = sum_i lambda_i v_i^T A_l v_i off the products of A's slices with
 the kept vectors, and a step-rule stop returns the previous sweep's pairs as
 they are.
 
+A fit from ``linalg.LANCZOS_MIN_N`` nodes and two groups up shares each
+sweep with forked helper processes, P = min(M, usable CPUs) processes in
+all, where numpy's BLAS can be pinned and the fit is not in a fan-out
+worker (which counts as one CPU). The helpers are forked once per fit and
+share A's pages and one M x n x n product buffer in shared memory. In each
+sweep every process writes its contiguous range of the product's columns.
+After a barrier, each projects the group slices it is handed, with their
+certificates, which the caller keeps between sweeps: group j goes to
+process j mod P in the first sweep, and then the slice that took longest
+in the sweep before goes first to the least loaded process (one slice's
+projection can take twice another's). With every group's kept vectors in
+hand, each process takes the W-step's quadratic forms on its contiguous
+range of layers, which the caller joins in layer order. Every piece is
+computed as the one-process sweep computes it, so the fit's bits do not
+change; the caller then runs the polar step, the checks, the objectives
+and the stop tests as ever.
+Threads could not share the work: scipy's LAPACK wrappers hold the GIL.
+The caller pins numpy's and scipy's BLAS to one thread for such a fit,
+before it forks, and puts back the counts it found: an idle OpenBLAS
+thread busy-waits on the CPU a helper needs. The helpers inherit the
+counts and set none, since setting a count after a fork starts a thread
+pool again. No other fit pins.
+
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
 first sweep's dense eigensolve seeds it, and a warm projection then skips
@@ -48,17 +71,27 @@ layer Gram matrix of A, taken once per fit. It changes no result.
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import signal
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficientError
 from .linalg import (
+    LANCZOS_MIN_N,
     Certificate,
+    _blas_on_one_thread_across_forks,
     _from_pairs,
     _lanczos_applies,
     _quadratic_forms,
+    _usable_cpus,
+    pin_blas_threads,
     polar_project,
     rank_project,
 )
@@ -209,27 +242,33 @@ def q_update(a: Tensor3, w: np.ndarray, ranks,
                               and np.shape(cert.v0) != (n,) for cert in certs):
         raise ValueError(f"start does not match {m} slices of {n} x {n}")
     sums = mode1_product(a, w.T)
-    q = []
-    for j, (k, cert) in enumerate(zip(ranks, certs)):
-        if cert is not None:
-            cert.key = w[:, j].copy()
-            if cert.ref is not None:
-                cert.drift = drift(cert.key - cert.ref)
-        q.append(rank_project(sums.array[j], int(k), start=cert))
-    return tuple(q)
+    return tuple(_project_slice(sums.array[j], ranks[j], certs[j], drift, w[:, j])
+                 for j in range(m))
 
 
-def _slice_correlations(a: Tensor3, q) -> np.ndarray:
+def _project_slice(sums_j: np.ndarray, k: int, cert, drift, key: np.ndarray):
+    """The eigenpairs of one group slice cut to its rank ``k``, with the
+    slice's certificate (or None) keyed by its W column ``key`` first."""
+    if cert is not None:
+        cert.key = key.copy()
+        if cert.ref is not None:
+            cert.drift = drift(cert.key - cert.ref)
+    return rank_project(sums_j, int(k), start=cert)
+
+
+def _slice_correlations(a: Tensor3, q, forms=_quadratic_forms) -> np.ndarray:
     """G[l, m] = <A_l, Q_m> = sum_i lambda_i v_i^T A_l v_i over Q_m's eigenpairs.
 
-    One product of every slice of A with all groups' kept vectors.
+    One product of every slice of A with all groups' kept vectors, by
+    ``forms(a.array, vectors)``: :func:`alma.linalg._quadratic_forms`, or
+    the same forms split by layer over a fit's processes.
     """
     if any(vectors.shape[0] != a.dims[1] for _, vectors in q):
         raise ValueError("adjacency and core slices must share node dims")
     vectors = np.concatenate([v for _, v in q], axis=1)
     values = np.concatenate([lam for lam, _ in q])
     # terms[l, i] = lambda_i v_i^T A_l v_i, then summed over each group's columns
-    terms = _quadratic_forms(a.array, vectors) * values
+    terms = forms(a.array, vectors) * values
     return np.add.reduceat(terms, np.cumsum([0] + [len(lam) for lam, _ in q[:-1]]), axis=1)
 
 
@@ -249,6 +288,204 @@ def _check_fit_args(n: int, ranks, eps_stop: float, max_iter: int, **_) -> tuple
     if any(k < 1 or k > n for k in ranks):
         raise ValueError("every rank must lie in [1, n]")
     return ranks
+
+
+def _q_step(a: Tensor3, ranks, start: _CarriedStart, w: np.ndarray) -> tuple:
+    """One sweep's Q-step from ``w`` and the slice correlations G of its Q,
+    in this process alone."""
+    q = q_update(a, w, ranks, start=start)
+    return q, _slice_correlations(a, q)
+
+
+def _sweep_processes(n: int, m: int) -> int:
+    """How many processes share each sweep of a fit with ``n`` nodes and ``m`` groups.
+
+    min(m, usable CPUs) from ``LANCZOS_MIN_N`` nodes and two groups up,
+    where numpy's BLAS can be pinned; 1 otherwise. A fan-out worker counts
+    as one CPU (:func:`alma.linalg._usable_cpus`).
+    """
+    if n < LANCZOS_MIN_N or m < 2 or pin_blas_threads is None:
+        return 1
+    return min(m, _usable_cpus())
+
+
+def _shared_stack(m: int, n: int) -> np.ndarray:
+    """An m x n x n float64 array in anonymous shared memory: a forked child
+    reads and writes the same pages as its parent."""
+    return np.frombuffer(mmap.mmap(-1, m * n * n * 8), dtype=np.float64).reshape(m, n, n)
+
+
+def _balance(costs, procs: int) -> list:
+    """The groups each of ``procs`` processes projects: the costliest first,
+    each to the process with the least cost so far (ties to the lowest
+    rank). With equal costs, as in the first sweep, group j goes to process
+    j mod procs."""
+    loads, groups = [0.0] * procs, [[] for _ in range(procs)]
+    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        rank = loads.index(min(loads))
+        groups[rank].append(j)
+        loads[rank] += costs[j]
+    return groups
+
+
+class _Share(NamedTuple):
+    """What process ``rank`` of a fit split over ``procs`` processes holds:
+    A, the ranks, the slice drift bound and the shared product stack, and
+    its ``rank``-th of ``procs`` contiguous ranges of the product's columns
+    and of the layers."""
+
+    a: Tensor3
+    ranks: tuple
+    drift: _SliceDrift | None
+    stack: np.ndarray  # the M x n x n mode-1 product, in shared memory
+    rank: int
+    procs: int
+
+    def _range(self, total: int) -> slice:
+        return slice(total * self.rank // self.procs, total * (self.rank + 1) // self.procs)
+
+    def product(self, w: np.ndarray) -> None:
+        """Writes its columns of the product with W^T into the stack, with
+        the bits :func:`mode1_product` gives them (each column is a sum over
+        the same L layers)."""
+        cols = self._range(self.stack[0].size)
+        np.matmul(w.T, mode1_matricize(self.a)[:, cols],
+                  out=self.stack.reshape(len(self.stack), -1)[:, cols])
+
+    def project(self, w: np.ndarray, certs: dict) -> dict:
+        """Projects each group j of ``certs`` with its certificate, once the
+        whole product is written: j -> (eigenpairs, certificate, seconds)."""
+        done = {}
+        for j, cert in certs.items():
+            t0 = time.perf_counter()
+            pairs = _project_slice(self.stack[j], self.ranks[j], cert, self.drift, w[:, j])
+            done[j] = (pairs, cert, time.perf_counter() - t0)
+        return done
+
+    def forms(self, mats, vectors: np.ndarray) -> np.ndarray:
+        """:func:`alma.linalg._quadratic_forms` on its layers of ``mats``."""
+        return _quadratic_forms(mats[self._range(len(mats))], vectors)
+
+
+def _helper(conn, share: _Share, callers_ends) -> None:
+    """A sweep helper's loop: its share of each sweep, in step with the caller.
+
+    It returns when the caller closes its end of ``conn``, and sends back
+    the first error it meets. It ignores SIGINT, which a terminal sends to
+    the whole process group: the caller, which it interrupts, stops the
+    helper.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in callers_ends:
+        end.close()  # this copy would keep the helper's own pipe open
+    try:
+        while True:
+            w = conn.recv()
+            share.product(w)
+            conn.send(None)
+            # once every process has written its columns: its groups' certificates
+            conn.send(share.project(w, conn.recv()))
+            conn.send(share.forms(share.a.array, conn.recv()))
+    except EOFError:
+        return
+    except Exception as exc:
+        conn.send(exc)
+
+
+class _SplitSweep:
+    """A sweep's Q-step and slice correlations, shared by this process
+    (rank 0) and the helpers at the other ends of ``conns``.
+
+    It holds every group's certificate between sweeps and hands each
+    process the groups :func:`_balance` gives it from the seconds each
+    projection took in the sweep before, with their certificates, which
+    come back updated. Which process projects a slice changes no bit.
+    """
+
+    def __init__(self, share: _Share, conns, certs):
+        self.share, self.conns = share, conns
+        self.certs = list(certs)
+        self.costs = [1.0] * len(self.certs)
+
+    def __call__(self, w: np.ndarray) -> tuple:
+        share = self.share
+        w = _check_w(w, share.a.dims[0])
+        self._send(w)
+        share.product(w)
+        self._gather()
+        # every column is written: the barrier releases each helper with its groups
+        mine, *theirs = _balance(self.costs, share.procs)
+        for conn, groups in zip(self.conns, theirs):
+            conn.send({j: self.certs[j] for j in groups})
+        done = share.project(w, {j: self.certs[j] for j in mine})
+        for part in self._gather():
+            done.update(part)
+        q = []
+        for j in range(len(self.certs)):
+            pairs, self.certs[j], self.costs[j] = done[j]
+            q.append(pairs)
+        q = tuple(q)
+        return q, _slice_correlations(share.a, q, forms=self._forms)
+
+    def _forms(self, mats, vectors: np.ndarray) -> np.ndarray:
+        # every process takes its layers; the terms join in layer order
+        self._send(vectors)
+        return np.concatenate([self.share.forms(mats, vectors), *self._gather()])
+
+    def _send(self, message) -> None:
+        for conn in self.conns:
+            conn.send(message)
+
+    def _gather(self) -> list:
+        replies = []
+        for conn in self.conns:
+            try:
+                reply = conn.recv()
+            except EOFError:
+                raise RuntimeError("a sweep helper process ended unexpectedly") from None
+            if isinstance(reply, Exception):
+                raise reply
+            replies.append(reply)
+        return replies
+
+
+@contextmanager
+def _split_sweeps(a: Tensor3, ranks, start: _CarriedStart, procs: int):
+    """A :class:`_SplitSweep` over this process and ``procs - 1`` helpers.
+
+    The helpers are forked on entry, so that they share A's pages and the
+    shared product stack, allocated here once. numpy's and scipy's BLAS run
+    on one thread in every process, pinned here before the forks, since an
+    idle OpenBLAS thread busy-waits on the CPU another process needs; the
+    counts found are put back on exit. Every helper is stopped and joined
+    on exit, after an error or an interrupt too: one left mid-step is
+    terminated, since its work is void.
+    """
+    stack = _shared_stack(len(ranks), a.dims[1])
+    share = _Share(a, ranks, start.drift, stack, 0, procs)
+    ctx = multiprocessing.get_context("fork")
+    conns, helpers = [], []
+    finished = False
+    with _blas_on_one_thread_across_forks():
+        try:
+            for rank in range(1, procs):
+                conn, theirs = ctx.Pipe()
+                conns.append(conn)
+                helper = ctx.Process(target=_helper, daemon=True,
+                                     args=(theirs, share._replace(rank=rank), conns))
+                helper.start()
+                helpers.append(helper)
+                theirs.close()
+            yield _SplitSweep(share, conns, start.certs)
+            finished = True
+        finally:
+            if not finished:
+                for helper in helpers:
+                    helper.terminate()
+            for conn in conns:
+                conn.close()  # a helper waiting for work reads EOF and returns
+            for helper in helpers:
+                helper.join()
 
 
 def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,
@@ -275,31 +512,33 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,
     certs = tuple(Certificate() for _ in ranks)
     drift = _SliceDrift(a) if any(_lanczos_applies(n, k) for k in ranks) else None
     start = _CarriedStart(certs, drift)
-    for sweep in range(1, max_iter + 1):
-        q = q_update(a, w_prev, ranks, start=start)
-        # the W-step, with G kept for both half-steps' objectives
-        g = _slice_correlations(a, q)
-        try:
-            w = polar_project(g)
-        except RankDeficientError as exc:
-            raise DegenerateIterateError(sweep, exc) from exc
-        if not (np.all(np.isfinite(w))
-                and all(np.all(np.isfinite(v)) and np.all(np.isfinite(lam)) for lam, v in q)):
-            raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
-        f = _expanded_objective(a, a_sq, q, w, g)
-        trace += [_expanded_objective(a, a_sq, q, w_prev, g), f]
-        if not np.all(np.isfinite(trace[-2:])):
-            raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
-        step = float(np.linalg.norm(w - w_prev))
-        if eps_stop > 0.0 and step <= eps_stop:
-            converged = True
-            if sweep > 1:
-                q, w, f = q_prev, w_prev, f_prev
-            break
-        if eps_stop > 0.0 and sweep > 1 and f_prev - f <= OBJECTIVE_RTOL * f_prev:
-            converged = True
-            break
-        q_prev, w_prev, f_prev = q, w, f
+    procs = _sweep_processes(n, len(ranks))
+    with (_split_sweeps(a, ranks, start, procs) if procs > 1
+          else nullcontext(partial(_q_step, a, ranks, start))) as q_step:
+        for sweep in range(1, max_iter + 1):
+            # the Q-step, with G kept for the W-step and both half-steps' objectives
+            q, g = q_step(w_prev)
+            try:
+                w = polar_project(g)
+            except RankDeficientError as exc:
+                raise DegenerateIterateError(sweep, exc) from exc
+            if not (np.all(np.isfinite(w))
+                    and all(np.all(np.isfinite(v)) and np.all(np.isfinite(lam)) for lam, v in q)):
+                raise NonFiniteObjectiveError(f"non-finite iterate at sweep {sweep}")
+            f = _expanded_objective(a, a_sq, q, w, g)
+            trace += [_expanded_objective(a, a_sq, q, w_prev, g), f]
+            if not np.all(np.isfinite(trace[-2:])):
+                raise NonFiniteObjectiveError(f"non-finite objective at sweep {sweep}")
+            step = float(np.linalg.norm(w - w_prev))
+            if eps_stop > 0.0 and step <= eps_stop:
+                converged = True
+                if sweep > 1:
+                    q, w, f = q_prev, w_prev, f_prev
+                break
+            if eps_stop > 0.0 and sweep > 1 and f_prev - f <= OBJECTIVE_RTOL * f_prev:
+                converged = True
+                break
+            q_prev, w_prev, f_prev = q, w, f
 
     return FactorPair(
         w=w, q=q, objective=f, objective_trace=trace, iters_used=sweep,

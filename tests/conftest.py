@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -69,6 +72,70 @@ def at_one_and_two_blas_threads(fn) -> tuple:
         linalg.pin_blas_threads(found)
 
 
+def blas_thread_count() -> int:
+    """numpy's OpenBLAS thread count, read by setting it and putting it back."""
+    found = linalg.pin_blas_threads(1)
+    linalg.pin_blas_threads(found)
+    return found
+
+
+@contextmanager
+def one_cpu():
+    """Holds this process to one CPU inside the block, then puts its CPUs back.
+
+    A fit from ``LANCZOS_MIN_N`` nodes up then runs its sweeps in this
+    process alone, on numpy's thread count as it finds it.
+    """
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+class SharedLog:
+    """An append-only list of ints, or of ``width``-tuples of ints, that the
+    processes this one forks append to as well.
+
+    Its slots and its length live in shared memory made before any fork, so
+    a spy that logs here sees the calls a fit's sweep helpers make too. The
+    order of entries from different processes is the order they came in.
+    """
+
+    def __init__(self, width=1, size=4096):
+        ctx = multiprocessing.get_context("fork")
+        self.width = width
+        self._slots = ctx.RawArray("q", width * size)
+        self._len = ctx.Value("q", 0)
+
+    def append(self, item) -> None:
+        row = tuple(item) if self.width > 1 else (item,)
+        with self._len.get_lock():
+            i = self._len.value * self.width
+            self._slots[i:i + self.width] = row
+            self._len.value += 1
+
+    def clear(self) -> None:
+        with self._len.get_lock():
+            self._len.value = 0
+
+    def __len__(self) -> int:
+        return self._len.value
+
+    def __iter__(self):
+        flat = self._slots[:len(self) * self.width]
+        if self.width == 1:
+            return iter(flat)
+        return iter([tuple(flat[i:i + self.width]) for i in range(0, len(flat), self.width)])
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return f"SharedLog({list(self)!r})"
+
+
 def traced_peak(fn) -> int:
     """Bytes that ``fn()`` holds at its peak beyond what was allocated before it.
 
@@ -90,8 +157,9 @@ def rng():
 
 @pytest.fixture
 def eigsh_calls(monkeypatch):
-    """The k of every Lanczos call rank_project makes while the test runs."""
-    calls = []
+    """The k of every Lanczos call rank_project makes while the test runs,
+    in this process or a sweep helper it forks."""
+    calls = SharedLog()
 
     def spy(*args, **kwargs):
         calls.append(kwargs["k"])
@@ -103,8 +171,9 @@ def eigsh_calls(monkeypatch):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """The shape of every Cholesky factorization a certificate runs while the test runs."""
-    calls = []
+    """The shape of every Cholesky factorization a certificate runs while the
+    test runs, in this process or a sweep helper it forks."""
+    calls = SharedLog(width=2)
     real = linalg._positive_definite
 
     def spy(f, lower):

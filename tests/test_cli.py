@@ -566,6 +566,18 @@ def test_a_fit_that_fails_exits_1_with_one_error_line(tmp_path, capsys, out):
     assert not (tmp_path / "fitted").exists()
 
 
+def test_a_rank_deficient_fit_prints_no_negative_zero(tmp_path, capsys):
+    # numpy's SVD returns the zero singular value of this W-step as -0.0
+    run_cli(["generate", "--n", "2", "--layers", "6", "--groups", "2", "--communities", "1",
+             "--seed", "0", "--out", str(tmp_path)], capsys)
+    with pytest.raises(SystemExit):
+        main(["fit", "--input", str(tmp_path / "adjacency.bin"), "--groups", "5",
+              "--communities", "1"])
+    err = capsys.readouterr().err
+    assert "sigma_min=0.000e+00 vs sigma_max=" in err
+    assert "-0.000" not in err
+
+
 def test_a_scenario_that_aborts_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
     def failing_fit(*args, **kwargs):
         raise DegenerateIterateError(1)

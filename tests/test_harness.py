@@ -30,7 +30,13 @@ from alma.sampling import substream
 from alma.solver import alma_fit
 from alma.tensors import Tensor3, mode1_product
 from alma.linalg import rank_project
-from conftest import at_one_and_two_blas_threads, make_noisy, make_truth, needs_blas_pin
+from conftest import (
+    at_one_and_two_blas_threads,
+    make_noisy,
+    make_truth,
+    needs_blas_pin,
+    one_cpu,
+)
 
 
 def tiny_cfg(**overrides):
@@ -413,12 +419,13 @@ def no_pool(monkeypatch):
 
 @needs_blas_pin
 @pytest.mark.parametrize("n", [30, 450])
-def test_elbow_rows_do_not_depend_on_the_blas_thread_count(monkeypatch, n):
-    # in process, so that the caller's thread count is the one the fits run on;
-    # at n=450 every candidate fit's warm Q-steps are on the Lanczos path
-    usable_cpus(monkeypatch, 1)
+def test_elbow_rows_do_not_depend_on_the_blas_thread_count(n):
+    # held to one CPU, so that the fits run in this process, neither in
+    # workers nor split over helpers, on the thread count set here; at n=450
+    # every candidate fit's warm Q-steps are on the Lanczos path
     a = elbow_input(n=n)
-    one, two = at_one_and_two_blas_threads(lambda: elbow_table(scan(a)))
+    with one_cpu():
+        one, two = at_one_and_two_blas_threads(lambda: elbow_table(scan(a)))
     assert [row[0] for row in one] == [1, 2, 3, 4]
     assert two == one
 

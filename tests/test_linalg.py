@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,16 @@ def test_polar_rank_deficient_raises():
         polar_project(x)
     assert info.value.sigma_min == pytest.approx(0.0, abs=1e-12)
     assert info.value.sigma_max > 0
+
+
+def test_rank_deficient_error_stores_non_negative_values():
+    # numpy's SVD can return -0.0, and a rounded eigenvalue can dip below 0
+    err = RankDeficientError(-0.0, 2.5)
+    assert math.copysign(1.0, err.sigma_min) == 1.0
+    assert str(err) == "rank deficient input: sigma_min=0.000e+00 vs sigma_max=2.500e+00"
+    clipped = RankDeficientError(-3e-17, -0.0, "slice Gram is singular")
+    assert (clipped.sigma_min, clipped.sigma_max) == (0.0, 0.0)
+    assert math.copysign(1.0, clipped.sigma_max) == 1.0
 
 
 def test_svd_top_left_frozen():

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -27,11 +28,14 @@ from alma.solver import (
 )
 from alma.tensors import Tensor3, mode1_matricize, mode1_product
 from conftest import (
+    SharedLog,
     at_one_and_two_blas_threads,
+    blas_thread_count,
     hollow_core,
     make_noisy,
     make_truth,
     needs_blas_pin,
+    one_cpu,
     traced_peak,
 )
 
@@ -235,15 +239,23 @@ def test_one_group_product_and_fit_do_not_depend_on_the_blas_thread_count():
 
 @needs_blas_pin
 def test_lanczos_path_fit_does_not_depend_on_the_blas_thread_count(eigsh_calls):
+    # held to one CPU the fit runs in this process, on the thread count set
+    # here; with more CPUs it splits its sweeps and pins numpy's count itself
     _, _, a = make_noisy(52, n=300, L=8, m=2, k=2, p_max=0.5, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(52).normal(size=(8, 2)))[0]
-    one, two = at_one_and_two_blas_threads(
-        lambda: alma_fit(a, (2, 2), w0, eps_stop=0.0, max_iter=10))
-    assert eigsh_calls == [2] * (2 * 2 * 9)
-    assert np.array_equal(one.w, two.w)
-    for p, q in zip(one.q, two.q):
-        assert np.array_equal(p.values, q.values)
-        assert np.array_equal(p.vectors, q.vectors)
+
+    def fit():
+        return alma_fit(a, (2, 2), w0, eps_stop=0.0, max_iter=10)
+
+    with one_cpu():
+        one, two = at_one_and_two_blas_threads(fit)
+    default = fit()
+    assert eigsh_calls == [2] * (3 * 2 * 9)
+    for other in (two, default):
+        assert np.array_equal(one.w, other.w)
+        for p, q in zip(one.q, other.q):
+            assert np.array_equal(p.values, q.values)
+            assert np.array_equal(p.vectors, q.vectors)
 
 
 def test_warm_q_steps_run_no_dense_fallback_and_mostly_no_factorization(
@@ -252,26 +264,19 @@ def test_warm_q_steps_run_no_dense_fallback_and_mostly_no_factorization(
     # must see factorizations (26 of the 54 an uncarried fit would run)
     _, _, a = make_noisy(55, n=300, L=12, m=3, k=3, p_max=0.5, alpha=0.8)
     w1 = spectral_init(a, 3, substream(55, 2))
-    sweep = [0]
-    dense_sweeps = []
+    # the k of every dense eigensolve, in this process or a sweep helper
+    dense_calls = SharedLog()
+    real = linalg._kept_pairs
 
-    def count_sweeps(*args, **kwargs):
-        sweep[0] += 1
-        return q_update(*args, **kwargs)
+    def spy(a, k, *args, **kwargs):
+        dense_calls.append(k)
+        return real(a, k, *args, **kwargs)
 
-    def spy(module, name, log):
-        real = getattr(module, name)
-
-        def wrapped(*args, **kwargs):
-            log.append(sweep[0])
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapped)
-
-    monkeypatch.setattr(solver, "q_update", count_sweeps)
-    spy(linalg, "_kept_pairs", dense_sweeps)
+    monkeypatch.setattr(linalg, "_kept_pairs", spy)
     fit = alma_fit(a, (3, 3, 3), w1, eps_stop=0.0, max_iter=10)
-    assert fit.iters_used == sweep[0] == 10
-    assert dense_sweeps == [1, 1, 1]
+    assert fit.iters_used == 10
+    # one per slice: the first sweep's, which have no start to go warm from
+    assert dense_calls == [3, 3, 3]
     warm_slices = 3 * 9
     assert eigsh_calls == [3] * warm_slices
     # without the carried certificate every warm slice takes two
@@ -391,42 +396,80 @@ def test_rank_n_slices_hold_the_full_eigendecomposition():
     assert np.array_equal(q[1].values, sym_eig_topk(full, 6).values)
 
 
-def test_a_fit_holds_one_q_stack_at_a_time():
-    # Gate on the traced peak of a 5-sweep fit, in units of one n x n slice:
-    # the M x n x n mode-1 product each Q-step projects, two n x n buffers
-    # of the dense kernel or the certificate, and no more. This fit peaked at
-    # 5.15 units; one that kept four kernel buffers at 7.07, and one that
-    # also held the previous sweep's Q and a second output stack at 10.05.
+def test_a_fit_holds_one_q_stack_at_a_time(monkeypatch):
+    # Gate on the peak of a 5-sweep fit, in units of one n x n slice: the
+    # M x n x n mode-1 product each Q-step projects, two n x n buffers of
+    # the dense kernel or the certificate, and no more. This fit peaked at
+    # 5.15 units in one process; one that kept four kernel buffers at 7.07,
+    # and one that also held the previous sweep's Q and a second output
+    # stack at 10.05. A fit split over processes keeps its product in one
+    # shared mapping, which tracemalloc does not see, so the gate counts it
+    # into the peak itself.
     n, m = 300, 3
     _, _, a = make_noisy(57, n=n, L=12, m=m, k=3, p_max=0.5, alpha=0.5)
     w1 = spectral_init(a, m, substream(57, 2))
     ranks = (3,) * m
     alma_fit(a, ranks, w1, eps_stop=0.0, max_iter=2)  # first-call caches
+    shared = []
+    real = solver._shared_stack
+
+    def spy(*args):
+        stack = real(*args)
+        shared.append(stack.nbytes)
+        return stack
+
+    monkeypatch.setattr(solver, "_shared_stack", spy)
     peak = traced_peak(lambda: alma_fit(a, ranks, w1, eps_stop=0.0, max_iter=5))
-    assert peak <= (m + 2.5) * n * n * 8
+    if solver._sweep_processes(n, m) > 1:
+        assert shared == [m * n * n * 8]
+    assert peak + sum(shared) <= (m + 2.5) * n * n * 8
 
 
 def test_fit_projects_every_slice_on_the_calling_thread(monkeypatch):
-    # n=450: every warm slice is on the Lanczos path, and the fit pins no BLAS
-    pins, threads = [], []
+    # n=450: every warm slice is on the Lanczos path. Each slice is
+    # projected once per sweep, by one of the fit's P = min(M, usable CPUs)
+    # processes and on its calling thread, and every process projects some
+    # slice in every sweep. Only a fit with P >= 2 pins numpy's BLAS, and it
+    # puts back the count it found.
+    pins = []
     real_pin = linalg._openblas_threads_local
     if real_pin is not None:
         def pin_spy(count):
             pins.append(count)
             return real_pin(count)
         monkeypatch.setattr(linalg, "_openblas_threads_local", pin_spy)
+    # (process, rank, on the process's main thread) of every projection;
+    # the ranks differ, so each names its slice
+    projections = SharedLog(width=3)
 
-    def project_spy(*args, **kwargs):
-        threads.append(threading.current_thread())
-        return rank_project(*args, **kwargs)
+    def project_spy(a, k, **kwargs):
+        projections.append((os.getpid(), k, threading.current_thread() is threading.main_thread()))
+        return rank_project(a, k, **kwargs)
 
     monkeypatch.setattr(solver, "rank_project", project_spy)
     _, _, a = make_noisy(54, n=450, L=6, m=3, k=2, p_max=0.5, alpha=0.5)
     w0 = np.linalg.qr(np.random.default_rng(54).normal(size=(6, 3)))[0]
-    fit = alma_fit(a, (2, 3, 2), w0, eps_stop=0.0, max_iter=3)
-    assert fit.iters_used == 3
-    assert threads == [threading.current_thread()] * 9
-    assert pins == []
+    ranks = (2, 3, 4)
+
+    def fit():
+        fit = alma_fit(a, ranks, w0, eps_stop=0.0, max_iter=3)
+        assert fit.iters_used == 3
+        seen = list(projections)
+        projections.clear()
+        assert all(on_main for _, _, on_main in seen)
+        assert sorted(k for _, k, _ in seen) == sorted(ranks * 3)
+        return {pid: sum(p == pid for p, _, _ in seen) for pid, _, _ in seen}
+
+    procs = min(3, len(os.sched_getaffinity(0))) if linalg.pin_blas_threads else 1
+    found = blas_thread_count() if real_pin is not None else None
+    pins.clear()
+    per_process = fit()
+    assert len(per_process) == procs and os.getpid() in per_process
+    assert all(count >= 3 for count in per_process.values())
+    assert pins == ([1, found] if procs > 1 else [])
+    with one_cpu():
+        assert fit() == {os.getpid(): 9}
+    assert pins == ([1, found] if procs > 1 else [])
 
 
 # The objective stop rule.
