@@ -42,8 +42,8 @@ oversubscribing the cores; it is None when numpy does not bundle an OpenBLAS
 that has it. The count is process-wide, and two callers pin it: a forked
 fan-out worker of the harness (:func:`_become_worker`) pins its own for
 good, and a fit whose sweeps are shared with forked helpers
-(:mod:`alma.solver`) pins numpy's and scipy's counts for the fit, before
-it forks, so that the helpers inherit them
+(:mod:`alma.solver`) pins numpy's and scipy's counts while it is split,
+from before it forks, so that the helpers inherit them
 (:func:`_blas_on_one_thread_across_forks`), and puts back the counts it
 found.
 """

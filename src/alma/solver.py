@@ -38,28 +38,28 @@ G[l, m] = sum_i lambda_i v_i^T A_l v_i off the products of A's slices with
 the kept vectors, and a step-rule stop returns the previous sweep's pairs as
 they are.
 
-A fit from ``linalg.LANCZOS_MIN_N`` nodes and two groups up shares each
-sweep with forked helper processes, P = min(M, usable CPUs) processes in
+A fit from ``linalg.LANCZOS_MIN_N`` nodes and two groups up shares its
+sweeps with forked helper processes, P = min(M, usable CPUs) processes in
 all, where numpy's BLAS can be pinned and the fit is not in a fan-out
 worker (which counts as one CPU). The helpers are forked once per fit and
-share A's pages and one M x n x n product buffer in shared memory. In each
-sweep every process writes its contiguous range of the product's columns.
-After a barrier, each projects the group slices it is handed, with their
-certificates, which the caller keeps between sweeps: group j goes to
-process j mod P in the first sweep, and then the slice that took longest
-in the sweep before goes first to the least loaded process (one slice's
-projection can take twice another's). With every group's kept vectors in
-hand, each process takes the W-step's quadratic forms on its contiguous
-range of layers, which the caller joins in layer order. Every piece is
-computed as the one-process sweep computes it, so the fit's bits do not
-change; the caller then runs the polar step, the checks, the objectives
-and the stop tests as ever.
-Threads could not share the work: scipy's LAPACK wrappers hold the GIL.
-The caller pins numpy's and scipy's BLAS to one thread for such a fit,
-before it forks, and puts back the counts it found: an idle OpenBLAS
-thread busy-waits on the CPU a helper needs. The helpers inherit the
-counts and set none, since setting a count after a fork starts a thread
-pool again. No other fit pins.
+share A's pages and one M x n x n product buffer in shared memory. They
+are forked before the first sweep when the stop tests are off, and
+otherwise only once the fit has run ``SPLIT_MIN_SWEEPS`` sweeps in one
+process without a stop, since a split costs a fixed restart of the BLAS
+thread pools. In each split sweep every process writes its contiguous
+range of the product's columns. After a barrier, each projects its own
+group slices, j = rank, rank + P, ..., with their certificates, which it
+keeps: a helper inherits those carried so far. With every group's kept
+vectors in hand, each process takes the W-step's quadratic forms on its
+contiguous range of layers, which the caller joins in layer order. Every piece is computed as the
+one-process sweep computes it, so the fit's bits do not change; the caller
+then runs the polar step, the checks, the objectives and the stop tests as
+ever. Threads could not share the work: scipy's LAPACK wrappers hold the
+GIL. The caller pins numpy's and scipy's BLAS to one thread while the fit
+is split, before it forks, and puts back the counts it found: an idle
+OpenBLAS thread busy-waits on the CPU a helper needs. The helpers inherit
+the counts and set none, since setting a count after a fork starts a
+thread pool again. No other fit pins.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
@@ -74,8 +74,7 @@ from __future__ import annotations
 import mmap
 import multiprocessing
 import signal
-import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -101,6 +100,13 @@ from .tensors import Tensor3, mode1_matricize, mode1_product
 # 1e-5 scenario-1 fits stop at sweeps 3-32 and lose accuracy; at 1e-7 about
 # half of them still run the 100-sweep budget.
 OBJECTIVE_RTOL = 1e-6
+# A fit with its stop tests on that could split its sweeps over processes
+# runs this many in one process first, so that a fit that stops by then
+# pins and forks nothing. A split costs the work after the fit about 60 ms
+# on two CPUs: the fork shuts numpy's and scipy's OpenBLAS pools down,
+# putting their thread counts back starts both again, and each new thread
+# busy-waits for ~0.1 s. A split sweep saves 5-14 ms at n=250-600.
+SPLIT_MIN_SWEEPS = 10
 # Below this fraction of ||A||^2 the expanded square loses too many digits to
 # cancellation, and the objective is taken from the residual itself.
 _CANCELLATION_FRAC = 1e-6
@@ -315,28 +321,16 @@ def _shared_stack(m: int, n: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, m * n * n * 8), dtype=np.float64).reshape(m, n, n)
 
 
-def _balance(costs, procs: int) -> list:
-    """The groups each of ``procs`` processes projects: the costliest first,
-    each to the process with the least cost so far (ties to the lowest
-    rank). With equal costs, as in the first sweep, group j goes to process
-    j mod procs."""
-    loads, groups = [0.0] * procs, [[] for _ in range(procs)]
-    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
-        rank = loads.index(min(loads))
-        groups[rank].append(j)
-        loads[rank] += costs[j]
-    return groups
-
-
 class _Share(NamedTuple):
     """What process ``rank`` of a fit split over ``procs`` processes holds:
-    A, the ranks, the slice drift bound and the shared product stack, and
+    A, the ranks, the carried start and the shared product stack. It owns
+    groups ``rank``, ``rank + procs``, ... and their certificates, and takes
     its ``rank``-th of ``procs`` contiguous ranges of the product's columns
     and of the layers."""
 
     a: Tensor3
     ranks: tuple
-    drift: _SliceDrift | None
+    start: _CarriedStart
     stack: np.ndarray  # the M x n x n mode-1 product, in shared memory
     rank: int
     procs: int
@@ -352,15 +346,12 @@ class _Share(NamedTuple):
         np.matmul(w.T, mode1_matricize(self.a)[:, cols],
                   out=self.stack.reshape(len(self.stack), -1)[:, cols])
 
-    def project(self, w: np.ndarray, certs: dict) -> dict:
-        """Projects each group j of ``certs`` with its certificate, once the
-        whole product is written: j -> (eigenpairs, certificate, seconds)."""
-        done = {}
-        for j, cert in certs.items():
-            t0 = time.perf_counter()
-            pairs = _project_slice(self.stack[j], self.ranks[j], cert, self.drift, w[:, j])
-            done[j] = (pairs, cert, time.perf_counter() - t0)
-        return done
+    def project(self, w: np.ndarray) -> list:
+        """The eigenpairs of its groups, in group order, once the whole
+        product is written; each projection refreshes its certificate."""
+        certs, drift = self.start
+        return [_project_slice(self.stack[j], self.ranks[j], certs[j], drift, w[:, j])
+                for j in range(self.rank, len(self.ranks), self.procs)]
 
     def forms(self, mats, vectors: np.ndarray) -> np.ndarray:
         """:func:`alma.linalg._quadratic_forms` on its layers of ``mats``."""
@@ -383,8 +374,8 @@ def _helper(conn, share: _Share, callers_ends) -> None:
             w = conn.recv()
             share.product(w)
             conn.send(None)
-            # once every process has written its columns: its groups' certificates
-            conn.send(share.project(w, conn.recv()))
+            conn.recv()  # every process has written its columns
+            conn.send(share.project(w))
             conn.send(share.forms(share.a.array, conn.recv()))
     except EOFError:
         return
@@ -394,18 +385,10 @@ def _helper(conn, share: _Share, callers_ends) -> None:
 
 class _SplitSweep:
     """A sweep's Q-step and slice correlations, shared by this process
-    (rank 0) and the helpers at the other ends of ``conns``.
+    (rank 0) and the helpers at the other ends of ``conns``."""
 
-    It holds every group's certificate between sweeps and hands each
-    process the groups :func:`_balance` gives it from the seconds each
-    projection took in the sweep before, with their certificates, which
-    come back updated. Which process projects a slice changes no bit.
-    """
-
-    def __init__(self, share: _Share, conns, certs):
+    def __init__(self, share: _Share, conns):
         self.share, self.conns = share, conns
-        self.certs = list(certs)
-        self.costs = [1.0] * len(self.certs)
 
     def __call__(self, w: np.ndarray) -> tuple:
         share = self.share
@@ -413,17 +396,10 @@ class _SplitSweep:
         self._send(w)
         share.product(w)
         self._gather()
-        # every column is written: the barrier releases each helper with its groups
-        mine, *theirs = _balance(self.costs, share.procs)
-        for conn, groups in zip(self.conns, theirs):
-            conn.send({j: self.certs[j] for j in groups})
-        done = share.project(w, {j: self.certs[j] for j in mine})
-        for part in self._gather():
-            done.update(part)
-        q = []
-        for j in range(len(self.certs)):
-            pairs, self.certs[j], self.costs[j] = done[j]
-            q.append(pairs)
+        self._send(None)  # the barrier: every column is written
+        q = [None] * len(share.ranks)
+        for rank, pairs in enumerate([share.project(w), *self._gather()]):
+            q[rank::share.procs] = pairs
         q = tuple(q)
         return q, _slice_correlations(share.a, q, forms=self._forms)
 
@@ -454,7 +430,8 @@ def _split_sweeps(a: Tensor3, ranks, start: _CarriedStart, procs: int):
     """A :class:`_SplitSweep` over this process and ``procs - 1`` helpers.
 
     The helpers are forked on entry, so that they share A's pages and the
-    shared product stack, allocated here once. numpy's and scipy's BLAS run
+    shared product stack, allocated here once, and inherit the certificates
+    carried so far. numpy's and scipy's BLAS run
     on one thread in every process, pinned here before the forks, since an
     idle OpenBLAS thread busy-waits on the CPU another process needs; the
     counts found are put back on exit. Every helper is stopped and joined
@@ -462,7 +439,7 @@ def _split_sweeps(a: Tensor3, ranks, start: _CarriedStart, procs: int):
     terminated, since its work is void.
     """
     stack = _shared_stack(len(ranks), a.dims[1])
-    share = _Share(a, ranks, start.drift, stack, 0, procs)
+    share = _Share(a, ranks, start, stack, 0, procs)
     ctx = multiprocessing.get_context("fork")
     conns, helpers = [], []
     finished = False
@@ -476,7 +453,7 @@ def _split_sweeps(a: Tensor3, ranks, start: _CarriedStart, procs: int):
                 helper.start()
                 helpers.append(helper)
                 theirs.close()
-            yield _SplitSweep(share, conns, start.certs)
+            yield _SplitSweep(share, conns)
             finished = True
         finally:
             if not finished:
@@ -513,9 +490,15 @@ def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,
     drift = _SliceDrift(a) if any(_lanczos_applies(n, k) for k in ranks) else None
     start = _CarriedStart(certs, drift)
     procs = _sweep_processes(n, len(ranks))
-    with (_split_sweeps(a, ranks, start, procs) if procs > 1
-          else nullcontext(partial(_q_step, a, ranks, start))) as q_step:
+    # with the stop tests off the whole budget runs, so the split starts at
+    # once; otherwise after SPLIT_MIN_SWEEPS sweeps without a stop
+    split_at = (1 if eps_stop == 0.0 else SPLIT_MIN_SWEEPS + 1) if procs > 1 else None
+    q_step = partial(_q_step, a, ranks, start)
+    with ExitStack() as split:
         for sweep in range(1, max_iter + 1):
+            if sweep == split_at:
+                # the helpers inherit the certificates carried so far
+                q_step = split.enter_context(_split_sweeps(a, ranks, start, procs))
             # the Q-step, with G kept for the W-step and both half-steps' objectives
             q, g = q_step(w_prev)
             try:

@@ -1,6 +1,7 @@
-"""A fit from LANCZOS_MIN_N nodes up with M >= 2 groups shares each sweep
-with forked helper processes: the same bits as the fit in one process, no
-process or BLAS pin left behind, and no helper inside a fan-out worker."""
+"""A fit from LANCZOS_MIN_N nodes up with M >= 2 groups shares its sweeps
+with forked helper processes: the same bits as the fit in one process, each
+group on its own process, no process or BLAS pin left behind, no helper for
+a fit that stops early, and none inside a fan-out worker."""
 
 import csv
 import multiprocessing
@@ -37,6 +38,12 @@ def helpers(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def split_early(monkeypatch):
+    """A fit with its stop tests on splits from its second sweep."""
+    monkeypatch.setattr(solver, "SPLIT_MIN_SWEEPS", 1)
+
+
 def fit_input(m, seed=60):
     # n=250, the crossover; at eps_stop 1e-2 the step rule ends every M's
     # fit after sweep 1, so the returned pair is the previous sweep's
@@ -57,7 +64,7 @@ def assert_same_fit(one, other):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("eps_stop", [0.0, 1e-2])
-def test_split_fit_gives_the_bits_of_the_fit_held_to_one_cpu(helpers, m, eps_stop):
+def test_split_fit_gives_the_bits_of_the_fit_held_to_one_cpu(split_early, helpers, m, eps_stop):
     a, w1 = fit_input(m)
     ranks = (2,) * m
 
@@ -70,7 +77,8 @@ def test_split_fit_gives_the_bits_of_the_fit_held_to_one_cpu(helpers, m, eps_sto
     split = fit()
     assert len(helpers) == min(m, len(os.sched_getaffinity(0))) - 1
     if eps_stop > 0.0:
-        # the step rule fired after sweep 1 and returned the previous pair
+        # the step rule fired at sweep 2, the first split one, and returned
+        # the previous pair
         assert alone.final_step <= eps_stop and alone.iters_used > 1
         assert alone.objective == alone.objective_trace[-3]
     else:
@@ -78,34 +86,45 @@ def test_split_fit_gives_the_bits_of_the_fit_held_to_one_cpu(helpers, m, eps_sto
     assert_same_fit(alone, split)
 
 
-@pytest.mark.parametrize("costs, procs, groups", [
-    ([1.0, 1.0, 1.0], 2, [[0, 2], [1]]),
-    ([1.0] * 5, 3, [[0, 3], [1, 4], [2]]),
-    ([1.0, 0.45, 0.6], 2, [[0], [2, 1]]),
-    ([0.45, 0.6, 1.0], 2, [[2], [1, 0]]),
-    ([0.5, 0.2, 0.2, 0.2], 2, [[0], [1, 2, 3]]),
-])
-def test_balance_gives_the_costliest_group_to_the_least_loaded_process(costs, procs, groups):
-    # equal costs, as in the first sweep, give group j to process j mod P
-    assert solver._balance(costs, procs) == groups
-
-
-def test_a_split_fit_plans_each_sweep_from_the_last_sweeps_costs(monkeypatch, helpers):
-    # from sweep 2 on, the slice that took longest in the sweep before goes
-    # alone to the caller and the other two to the helper
+def test_each_process_projects_its_own_groups(monkeypatch):
+    # group j in process j mod P in every sweep, with the certificate it
+    # keeps; the ranks differ, so each names its group
     a, w1 = fit_input(3)
-    plans = []
-    real = solver._balance
+    ranks = (2, 3, 4)
+    projected = SharedLog(width=2)  # (process, rank) of every projection
+    real = solver._project_slice
 
-    def spy(costs, procs):
-        plans.append(real(costs, procs))
-        return plans[-1]
+    def spy(sums_j, k, *args):
+        projected.append((os.getpid(), k))
+        return real(sums_j, k, *args)
 
-    monkeypatch.setattr(solver, "_balance", spy)
-    alma_fit(a, (2, 2, 2), w1, eps_stop=0.0, max_iter=4)
-    assert len(plans) == 4 and plans[0] == [[0, 2], [1]]
-    assert all(len(mine) == 1 and sorted(mine + theirs) == [0, 1, 2]
-               for mine, theirs in plans[1:])
+    monkeypatch.setattr(solver, "_project_slice", spy)
+    alma_fit(a, ranks, w1, eps_stop=0.0, max_iter=3)
+    procs = min(3, len(os.sched_getaffinity(0)))
+    owner = {k: {pid for pid, rank in projected if rank == k} for k in ranks}
+    assert sorted(k for _, k in projected) == sorted(ranks * 3)
+    assert all(len(pids) == 1 for pids in owner.values())
+    assert len(set.union(*owner.values())) == procs
+    for j, k in enumerate(ranks):
+        assert (owner[k] == {os.getpid()}) == (j % procs == 0)
+        assert owner[k] == owner[ranks[j % procs]]
+
+
+def test_a_fit_that_stops_before_its_split_forks_and_pins_nothing(monkeypatch, helpers):
+    # the stop rule ends this fit within SPLIT_MIN_SWEEPS sweeps, so it
+    # runs in this process alone, as a fit held to one CPU does
+    pins = []
+    real_pin = linalg._openblas_threads_local
+
+    def pin_spy(count):
+        pins.append(count)
+        return real_pin(count)
+
+    monkeypatch.setattr(linalg, "_openblas_threads_local", pin_spy)
+    a, w1 = fit_input(3)
+    fit = alma_fit(a, (2, 2, 2), w1, eps_stop=1e-2)
+    assert 1 < fit.iters_used <= solver.SPLIT_MIN_SWEEPS
+    assert len(helpers) == 0 and pins == []
 
 
 def fail_in_a_helper(monkeypatch):
@@ -200,10 +219,12 @@ def masked_runs(path):
     return [row[:col] + row[col + 1:] for row in rows]
 
 
-def test_fan_out_workers_fork_no_helper_and_write_the_same_rows(tmp_path, capsys, helpers):
+def test_fan_out_workers_fork_no_helper_and_write_the_same_rows(
+        split_early, tmp_path, capsys, helpers):
     # scenario 2's two grid points are cells at n=30 and n=300: at
-    # --threads 1 the n=300 alma fit splits its sweeps in this process; at
-    # --threads 2 each cell runs in a fan-out worker, which forks no helper
+    # --threads 1 the n=300 alma fit, made to split from its second sweep,
+    # shares its sweeps with a helper; at --threads 2 each cell runs in a
+    # fan-out worker, which forks no helper
     def scenario(threads):
         out = tmp_path / f"threads{threads}"
         main(["scenario", "--scenario", "2", "--grid-points", "2", "--replicates", "1",
