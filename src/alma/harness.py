@@ -14,15 +14,15 @@ import csv
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import astuple, dataclass, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from .clustering import ClusteringResult, cluster_factor_pair
 from .errors import DegenerateIterateError, EstimationError
 from .initialization import spectral_init
-from .linalg import _become_worker, _usable_cpus, pin_blas_threads, sym_eig_topk
+from .linalg import _forked, _reply, _usable_cpus, sym_eig_topk
 from .metrics import score_result
 from .model import assemble_ground_truth
 from .sampling import sample_adjacency, sample_instance, substream
@@ -279,45 +279,46 @@ def run_single(cfg: ScenarioConfig, grid_idx: int, replicate: int) -> list:
     return records
 
 
-# the (fn, shared) pair a worker process runs its calls with, set once per worker
-_worker_job = None
-
-
-def _start_worker(fn, shared) -> None:
-    global _worker_job
-    _become_worker()
-    _worker_job = (fn, shared)
-
-
-def _call_in_worker(call):
-    fn, shared = _worker_job
-    return fn(shared, *call)
+def _serve(conn, fn, shared) -> None:
+    """A fan-out worker's loop: ``fn(shared, *call)`` for each call it is sent."""
+    while True:
+        conn.send(fn(shared, *conn.recv()))
 
 
 def _fan_out(fn, shared, calls, workers: int) -> list:
     """``[fn(shared, *call) for call in calls]``, on up to ``workers`` processes.
 
-    With ``min(workers, len(calls))`` at 1 the calls run one after another
-    on the calling thread. Otherwise they go, in list order, to that many
-    forked worker processes, each on one numpy BLAS thread. Fork hands
-    ``fn`` and ``shared`` to each worker in the pages it shares with this
-    process, so no call pickles them; a spawned worker would also import
-    numpy and scipy again, about 0.6 s. The first error cancels the calls
-    not yet handed to a worker (the pool's queue holds ``workers + 1``) and
-    propagates once the workers have finished the rest; none is left running.
+    With ``min(workers, len(calls))`` at 1, or in a daemonic process, which
+    multiprocessing does not let fork, the calls run one after another on
+    the calling thread. Otherwise that many workers are forked by
+    :func:`alma.linalg._forked`, and the calls go out in list order, each to
+    the first worker free. Fork hands ``fn`` and ``shared`` to each worker
+    in the pages it shares with this process, so no call pickles them; a
+    spawned worker would also import numpy and scipy again, about 0.6 s.
+    The first error propagates at once and, as an interrupt does, ends the
+    workers still at work; the calls not yet handed out never run.
     """
     workers = min(workers, len(calls))
-    if workers <= 1:
+    if workers <= 1 or multiprocessing.current_process().daemon:
         return [fn(shared, *call) for call in calls]
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn, shared))
-    try:
-        futures = [pool.submit(_call_in_worker, call) for call in calls]
-        for future in as_completed(futures):
-            future.result()  # raises the first error to come back
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    results = [None] * len(calls)
+    todo = iter(enumerate(calls))
+    with _forked(_serve, [(fn, shared)] * workers) as conns:
+        busy = {}  # worker's end -> index of the call it is on
+
+        def hand_out(conn):
+            i, call = next(todo, (None, None))
+            if i is not None:
+                conn.send(call)
+                busy[conn] = i
+
+        for conn in conns:
+            hand_out(conn)
+        while busy:
+            for conn in wait(list(busy)):
+                results[busy.pop(conn)] = _reply(conn)
+                hand_out(conn)
+    return results
 
 
 def run_scenario(cfg: ScenarioConfig) -> list:
@@ -378,13 +379,14 @@ def elbow_scan(
     ``max_iter`` are checked before any fit starts.
 
     Each distinct m is fitted once, largest first, since fit cost grows with m,
-    by :func:`_fan_out` on one worker per usable CPU: forked processes, each
-    on one BLAS thread, that share ``a``'s pages. Processes, not threads:
-    the dense Q-step runs in scipy's LAPACK wrappers, which hold the GIL.
-    With one usable CPU, one candidate or no BLAS pin
-    (``linalg.pin_blas_threads`` is None), the candidates are fitted one
-    after another on the calling thread, with its BLAS thread count left as
-    it is. The rows are the same either way.
+    by :func:`_fan_out` on one worker per usable CPU: forked processes that
+    share ``a``'s pages and inherit one BLAS thread each. Processes, not
+    threads: the dense Q-step runs in scipy's LAPACK wrappers, which hold
+    the GIL. With one usable CPU (as without the BLAS pin, where
+    ``linalg.pin_blas_threads`` is None, and in a daemonic process) or one
+    candidate, the candidates are fitted one after another on the calling
+    thread, with its BLAS thread count left as it is. The rows are the same
+    either way.
     """
     L, n, _ = a.dims
     grid = [int(m) for m in m_grid]
@@ -392,7 +394,7 @@ def elbow_scan(
         if not 1 <= m <= L:
             raise ValueError(f"candidate m={m} out of range for L={L}")
     (k,) = _check_fit_args(n, (k,), eps_stop, max_iter)
-    workers = _usable_cpus() if pin_blas_threads is not None else 1
+    workers = _usable_cpus()
     calls = [(m, k, master_seed, eps_stop, max_iter) for m in sorted(set(grid), reverse=True)]
     rows = {row.m: row for row in _fan_out(_elbow_row, a, calls, workers)}
     return [rows[m] for m in grid]

@@ -39,13 +39,12 @@ slower than with numpy's general product.
 :func:`pin_blas_threads` sets the thread count of numpy's bundled OpenBLAS,
 so concurrent processes can each run single-threaded BLAS instead of
 oversubscribing the cores; it is None when numpy does not bundle an OpenBLAS
-that has it. The count is process-wide, and two callers pin it: a forked
-fan-out worker of the harness (:func:`_become_worker`) pins its own for
-good, and a fit whose sweeps are shared with forked helpers
-(:mod:`alma.solver`) pins numpy's and scipy's counts while it is split,
-from before it forks, so that the helpers inherit them
-(:func:`_blas_on_one_thread_across_forks`), and puts back the counts it
-found.
+that has it. The count is process-wide. Every process alma forks, a fit's
+sweep helper (:mod:`alma.solver`) or a fan-out worker of the harness, comes
+from one primitive, :func:`_forked`: it sets numpy's and scipy's counts to
+one before the first fork (:func:`_blas_on_one_thread_across_forks`), its
+children inherit them and set none, and it puts back the counts it found
+once every child is joined.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ import ctypes
 import glob
 import multiprocessing
 import os
+import signal
 import threading
 import warnings
 from contextlib import contextmanager
@@ -119,32 +119,13 @@ def _pin_blas_threads(count: int = 1) -> int:
 pin_blas_threads = _pin_blas_threads if _openblas_threads_local is not None else None
 
 
-# True in a fan-out worker process, which runs beside its siblings (see _become_worker)
-_in_worker = False
-
-
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; one in a worker process, and in a
-    daemonic process, which multiprocessing does not let fork children.
-
-    Called only where the BLAS pin exists, i.e. on Linux.
-    """
-    if _in_worker or multiprocessing.current_process().daemon:
+    """The CPUs this process may run on; one where numpy's BLAS cannot be
+    pinned, and in a daemonic process, which multiprocessing does not let
+    fork children (every process :func:`_forked` starts is one)."""
+    if pin_blas_threads is None or multiprocessing.current_process().daemon:
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _become_worker() -> None:
-    """Set up a forked fan-out worker process that runs beside its siblings.
-
-    numpy's BLAS goes to one thread, so the workers do not oversubscribe the
-    cores, and :func:`_usable_cpus` reads one, so a fit in the worker forks
-    no sweep helper of its own.
-    """
-    global _in_worker
-    _in_worker = True
-    if pin_blas_threads is not None:
-        pin_blas_threads(1)
 
 
 class EigPairs(NamedTuple):
@@ -400,10 +381,10 @@ def _blas_on_one_thread_across_forks():
     0.1 s on the CPUs the processes need. So both counts are set here once,
     before any fork, and no process sets them again inside the block
     (:func:`_scipy_blas_on_one_thread` leaves scipy's alone); on exit the
-    counts found are put back. Needs :data:`pin_blas_threads`.
+    counts found are put back. A count that cannot be set is left alone.
     """
     global _held_on_one_thread
-    numpy_found = pin_blas_threads(1)
+    numpy_found = pin_blas_threads(1) if pin_blas_threads is not None else None
     with _scipy_blas_lock:
         scipy_found = (_scipy_openblas_threads_local(1)
                        if _scipy_openblas_threads_local is not None else None)
@@ -415,7 +396,73 @@ def _blas_on_one_thread_across_forks():
             _held_on_one_thread = False
             if scipy_found is not None:
                 _scipy_openblas_threads_local(scipy_found)
-        pin_blas_threads(numpy_found)
+        if numpy_found is not None:
+            pin_blas_threads(numpy_found)
+
+
+def _child(target, conn, parents_ends, args) -> None:
+    """A forked child: ``target(conn, *args)`` until EOF on ``conn``, and
+    the first error it meets sent back. It ignores SIGINT, which a terminal
+    sends to the whole process group: the parent stops it. Its copies of
+    the parent's ends would keep its own pipe open, so it closes them."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parents_ends:
+        end.close()
+    try:
+        target(conn, *args)
+    except EOFError:
+        return
+    except Exception as exc:
+        conn.send(exc)
+
+
+@contextmanager
+def _forked(target, child_args):
+    """Fork one daemonic child per entry of ``child_args``, each running
+    ``target(conn, *args)`` on its end of a pipe; yields this process's ends,
+    in that order.
+
+    The children share this process's pages as they were at the fork, and
+    run inside :func:`_blas_on_one_thread_across_forks`. On exit every end
+    is closed, so that a child waiting for work reads EOF and returns; after
+    an error or an interrupt a child still at work is terminated, since its
+    work is void. Every child is joined before the counts are put back.
+    """
+    ctx = multiprocessing.get_context("fork")
+    conns, children = [], []
+    finished = False
+    with _blas_on_one_thread_across_forks():
+        try:
+            for args in child_args:
+                conn, theirs = ctx.Pipe()
+                conns.append(conn)
+                child = ctx.Process(target=_child, args=(target, theirs, conns, args),
+                                    daemon=True)
+                child.start()
+                children.append(child)
+                theirs.close()
+            yield conns
+            finished = True
+        finally:
+            if not finished:
+                for child in children:
+                    child.terminate()
+            for conn in conns:
+                conn.close()
+            for child in children:
+                child.join()
+
+
+def _reply(conn):
+    """The next reply of the child at the other end of ``conn``: raises the
+    error it sent, or ``RuntimeError`` when it ended without a reply."""
+    try:
+        reply = conn.recv()
+    except EOFError:
+        raise RuntimeError("a forked worker process ended unexpectedly") from None
+    if isinstance(reply, Exception):
+        raise reply
+    return reply
 
 
 @lru_cache(maxsize=64)

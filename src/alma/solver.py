@@ -40,26 +40,26 @@ they are.
 
 A fit from ``linalg.LANCZOS_MIN_N`` nodes and two groups up shares its
 sweeps with forked helper processes, P = min(M, usable CPUs) processes in
-all, where numpy's BLAS can be pinned and the fit is not in a fan-out
-worker (which counts as one CPU). The helpers are forked once per fit and
-share A's pages and one M x n x n product buffer in shared memory. They
-are forked before the first sweep when the stop tests are off, and
-otherwise only once the fit has run ``SPLIT_MIN_SWEEPS`` sweeps in one
-process without a stop, since a split costs a fixed restart of the BLAS
-thread pools. In each split sweep every process writes its contiguous
-range of the product's columns. After a barrier, each projects its own
-group slices, j = rank, rank + P, ..., with their certificates, which it
-keeps: a helper inherits those carried so far. With every group's kept
-vectors in hand, each process takes the W-step's quadratic forms on its
-contiguous range of layers, which the caller joins in layer order. Every piece is computed as the
-one-process sweep computes it, so the fit's bits do not change; the caller
-then runs the polar step, the checks, the objectives and the stop tests as
-ever. Threads could not share the work: scipy's LAPACK wrappers hold the
-GIL. The caller pins numpy's and scipy's BLAS to one thread while the fit
-is split, before it forks, and puts back the counts it found: an idle
-OpenBLAS thread busy-waits on the CPU a helper needs. The helpers inherit
-the counts and set none, since setting a count after a fork starts a
-thread pool again. No other fit pins.
+all; without numpy's BLAS pin, and in a fan-out worker, a process has one
+usable CPU. The helpers are forked once per fit and share A's pages and
+one M x n x n product buffer in shared memory. They are forked before the
+first sweep when the stop tests are off, and otherwise only once the fit
+has run ``SPLIT_MIN_SWEEPS`` sweeps in one process without a stop, since
+a split costs a fixed restart of the BLAS thread pools. In each split
+sweep every process writes its contiguous range of the product's
+columns. After a barrier, each projects its own group slices, j = rank,
+rank + P, ..., with their certificates, which it keeps: a helper inherits
+those carried so far. With every group's kept vectors in hand, each
+process takes the W-step's quadratic forms on its contiguous range of
+layers, which the caller joins in layer order. Every piece is computed as
+the one-process sweep computes it, so the fit's bits do not change; the
+caller then runs the polar step, the checks, the objectives and the stop
+tests as ever. Threads could not share the work: scipy's LAPACK wrappers
+hold the GIL. The helpers come from :func:`alma.linalg._forked`, which
+runs numpy's and scipy's BLAS on one thread while the fit is split, set
+before the fork and inherited by the helpers: an idle OpenBLAS thread
+busy-waits on the CPU a helper needs. The counts found are put back when
+the split ends. No fit that stays in one process pins.
 
 On the Lanczos path (``linalg.LANCZOS_MIN_N`` nodes up) a fit carries one
 :class:`alma.linalg.Certificate` per group slice from Q-step to Q-step: the
@@ -72,8 +72,6 @@ layer Gram matrix of A, taken once per fit. It changes no result.
 from __future__ import annotations
 
 import mmap
-import multiprocessing
-import signal
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -85,12 +83,12 @@ from .errors import DegenerateIterateError, NonFiniteObjectiveError, RankDeficie
 from .linalg import (
     LANCZOS_MIN_N,
     Certificate,
-    _blas_on_one_thread_across_forks,
+    _forked,
     _from_pairs,
     _lanczos_applies,
     _quadratic_forms,
+    _reply,
     _usable_cpus,
-    pin_blas_threads,
     polar_project,
     rank_project,
 )
@@ -306,11 +304,11 @@ def _q_step(a: Tensor3, ranks, start: _CarriedStart, w: np.ndarray) -> tuple:
 def _sweep_processes(n: int, m: int) -> int:
     """How many processes share each sweep of a fit with ``n`` nodes and ``m`` groups.
 
-    min(m, usable CPUs) from ``LANCZOS_MIN_N`` nodes and two groups up,
-    where numpy's BLAS can be pinned; 1 otherwise. A fan-out worker counts
-    as one CPU (:func:`alma.linalg._usable_cpus`).
+    min(m, usable CPUs) from ``LANCZOS_MIN_N`` nodes and two groups up; 1
+    otherwise. Without numpy's BLAS pin, and in a fan-out worker, a process
+    has one usable CPU (:func:`alma.linalg._usable_cpus`).
     """
-    if n < LANCZOS_MIN_N or m < 2 or pin_blas_threads is None:
+    if n < LANCZOS_MIN_N or m < 2:
         return 1
     return min(m, _usable_cpus())
 
@@ -358,29 +356,15 @@ class _Share(NamedTuple):
         return _quadratic_forms(mats[self._range(len(mats))], vectors)
 
 
-def _helper(conn, share: _Share, callers_ends) -> None:
-    """A sweep helper's loop: its share of each sweep, in step with the caller.
-
-    It returns when the caller closes its end of ``conn``, and sends back
-    the first error it meets. It ignores SIGINT, which a terminal sends to
-    the whole process group: the caller, which it interrupts, stops the
-    helper.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in callers_ends:
-        end.close()  # this copy would keep the helper's own pipe open
-    try:
-        while True:
-            w = conn.recv()
-            share.product(w)
-            conn.send(None)
-            conn.recv()  # every process has written its columns
-            conn.send(share.project(w))
-            conn.send(share.forms(share.a.array, conn.recv()))
-    except EOFError:
-        return
-    except Exception as exc:
-        conn.send(exc)
+def _helper(conn, share: _Share) -> None:
+    """A sweep helper's loop: its share of each sweep, in step with the caller."""
+    while True:
+        w = conn.recv()
+        share.product(w)
+        conn.send(None)
+        conn.recv()  # every process has written its columns
+        conn.send(share.project(w))
+        conn.send(share.forms(share.a.array, conn.recv()))
 
 
 class _SplitSweep:
@@ -413,56 +397,19 @@ class _SplitSweep:
             conn.send(message)
 
     def _gather(self) -> list:
-        replies = []
-        for conn in self.conns:
-            try:
-                reply = conn.recv()
-            except EOFError:
-                raise RuntimeError("a sweep helper process ended unexpectedly") from None
-            if isinstance(reply, Exception):
-                raise reply
-            replies.append(reply)
-        return replies
+        return [_reply(conn) for conn in self.conns]
 
 
 @contextmanager
 def _split_sweeps(a: Tensor3, ranks, start: _CarriedStart, procs: int):
-    """A :class:`_SplitSweep` over this process and ``procs - 1`` helpers.
-
-    The helpers are forked on entry, so that they share A's pages and the
-    shared product stack, allocated here once, and inherit the certificates
-    carried so far. numpy's and scipy's BLAS run
-    on one thread in every process, pinned here before the forks, since an
-    idle OpenBLAS thread busy-waits on the CPU another process needs; the
-    counts found are put back on exit. Every helper is stopped and joined
-    on exit, after an error or an interrupt too: one left mid-step is
-    terminated, since its work is void.
-    """
-    stack = _shared_stack(len(ranks), a.dims[1])
-    share = _Share(a, ranks, start, stack, 0, procs)
-    ctx = multiprocessing.get_context("fork")
-    conns, helpers = [], []
-    finished = False
-    with _blas_on_one_thread_across_forks():
-        try:
-            for rank in range(1, procs):
-                conn, theirs = ctx.Pipe()
-                conns.append(conn)
-                helper = ctx.Process(target=_helper, daemon=True,
-                                     args=(theirs, share._replace(rank=rank), conns))
-                helper.start()
-                helpers.append(helper)
-                theirs.close()
-            yield _SplitSweep(share, conns)
-            finished = True
-        finally:
-            if not finished:
-                for helper in helpers:
-                    helper.terminate()
-            for conn in conns:
-                conn.close()  # a helper waiting for work reads EOF and returns
-            for helper in helpers:
-                helper.join()
+    """A :class:`_SplitSweep` over this process and ``procs - 1`` helpers,
+    forked on entry by :func:`alma.linalg._forked`, so that they share A's
+    pages and the product stack, allocated here once, and inherit the
+    certificates carried so far."""
+    share = _Share(a, ranks, start, _shared_stack(len(ranks), a.dims[1]), 0, procs)
+    helpers = [(share._replace(rank=rank),) for rank in range(1, procs)]
+    with _forked(_helper, helpers) as conns:
+        yield _SplitSweep(share, conns)
 
 
 def alma_fit(a: Tensor3, ranks, w_init: np.ndarray, *, eps_stop: float = 1e-4,

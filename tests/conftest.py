@@ -79,6 +79,13 @@ def blas_thread_count() -> int:
     return found
 
 
+def scipy_blas_thread_count() -> int:
+    """scipy's OpenBLAS thread count, read the same way."""
+    found = linalg._scipy_openblas_threads_local(1)
+    linalg._scipy_openblas_threads_local(found)
+    return found
+
+
 @contextmanager
 def one_cpu():
     """Holds this process to one CPU inside the block, then puts its CPUs back.
@@ -148,6 +155,13 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail every test that leaves a child process of this one running."""
+    yield
+    assert multiprocessing.active_children() == [], "the test left a child process"
 
 
 @pytest.fixture

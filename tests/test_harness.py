@@ -1,17 +1,20 @@
 import csv
 import math
 import multiprocessing
+import os
 import re
 import threading
 import time
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from alma.errors import DegenerateIterateError, EmptyClusterError, EstimationError
-from alma import harness
+from alma import harness, linalg
 from alma.harness import (
     CSV_COLUMNS,
     RunRecord,
@@ -31,11 +34,14 @@ from alma.solver import alma_fit
 from alma.tensors import Tensor3, mode1_product
 from alma.linalg import rank_project
 from conftest import (
+    SharedLog,
     at_one_and_two_blas_threads,
+    blas_thread_count,
     make_noisy,
     make_truth,
     needs_blas_pin,
     one_cpu,
+    scipy_blas_thread_count,
 )
 
 
@@ -238,7 +244,7 @@ def test_elbow_marks_degenerate_candidates_nan(monkeypatch, pools):
     usable_cpus(monkeypatch, 2)
     _, gt = make_truth(82, n=20, L=14, m=2, k=2, p_max=0.9, alpha=0.3)
     rows = elbow_scan(gt.p_star, [2, 4], 2, master_seed=1)
-    if harness.pin_blas_threads is not None:
+    if linalg.pin_blas_threads is not None:
         assert submitted_candidates(pools) == [4, 2]
     assert np.isfinite(rows[0].objective)
     assert math.isnan(rows[1].objective)
@@ -277,7 +283,7 @@ def test_run_scenario_aborts_when_most_runs_fail(monkeypatch):
 def test_run_scenario_forks_one_worker_per_cell_up_to_threads(pools):
     cfg = tiny_cfg(methods=("alma",), threads=4)
     records = run_scenario(cfg)
-    assert [(pool.forked, pool.calls) for pool in pools] == [(2, [((0, 0),), ((1, 0),)])]
+    assert [(pool.forked, pool.calls) for pool in pools] == [(2, [(0, 0), (1, 0)])]
     assert [(r.sweep_value, r.replicate) for r in records] == [(v, 0) for v in cfg.grid]
 
 
@@ -378,43 +384,51 @@ def fitting_threads(monkeypatch):
     return seen
 
 
+class RecordedEnd:
+    """A fan-out worker's pipe end that lists every call sent through it."""
+
+    def __init__(self, conn, calls):
+        self._conn, self._calls = conn, calls
+
+    def send(self, call):
+        self._calls.append(call)
+        self._conn.send(call)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """Every worker pool the harness starts, in order. Each counts the
-    processes it forked in ``forked`` and lists the arguments of each call
-    submitted to it in ``calls``, in submission order."""
+    """Every set of fan-out workers the harness forks, in order. Each counts
+    the workers forked in ``forked`` and lists the calls handed out to them
+    in ``calls``, in the order they went out."""
     seen = []
+    real = harness._forked
 
-    class RecordingPool(harness.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            self.forked, self.calls = 0, []
-            super().__init__(*args, **kwargs)
-            seen.append(self)
+    @contextmanager
+    def spy(target, child_args):
+        with real(target, child_args) as conns:
+            pool = SimpleNamespace(forked=len(conns), calls=[])
+            seen.append(pool)
+            yield [RecordedEnd(conn, pool.calls) for conn in conns]
 
-        def _spawn_process(self):
-            self.forked += 1
-            super()._spawn_process()
-
-        def submit(self, fn, /, *args, **kwargs):
-            self.calls.append(args)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_forked", spy)
     return seen
 
 
 def submitted_candidates(pools) -> list:
-    """The m of every elbow candidate submitted to a worker, in submission order."""
-    return [args[0][0] for pool in pools for args in pool.calls]
+    """The m of every elbow candidate handed to a worker, in that order."""
+    return [call[0] for pool in pools for call in pool.calls]
 
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Fail the test if a worker pool starts."""
+    """Fail the test if the harness forks a worker."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool started")
+        raise AssertionError("a fan-out worker was forked")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(harness, "_forked", refuse)
 
 
 @needs_blas_pin
@@ -464,7 +478,7 @@ def test_elbow_with_one_cpu_or_one_candidate_runs_serially(monkeypatch, no_pool,
 
 
 def test_elbow_without_the_pin_runs_serially(monkeypatch, fitting_threads):
-    monkeypatch.setattr(harness, "pin_blas_threads", None)
+    monkeypatch.setattr(linalg, "pin_blas_threads", None)
     rows = scan(elbow_input(), grid=(2, 1, 4, 3))
     assert fitting_threads == [(threading.main_thread(), m) for m in (4, 3, 2, 1)]
     assert [r.m for r in rows] == [2, 1, 4, 3]
@@ -529,7 +543,7 @@ def test_elbow_worker_error_propagates_and_restores_the_count(monkeypatch, tmp_p
     usable_cpus(monkeypatch, 2)
     a = elbow_input()
     before = threading.active_count()
-    pin = harness.pin_blas_threads
+    pin = linalg.pin_blas_threads
     found = pin(2) if pin is not None else None
     with pytest.raises(RuntimeError, match="fit failed"):
         scan(a, grid=range(1, 9))
@@ -541,3 +555,115 @@ def test_elbow_worker_error_propagates_and_restores_the_count(monkeypatch, tmp_p
     if pin is not None:
         # m=8 was submitted first; the last submitted were cancelled unstarted
         assert 8 in ran and not ran & {1, 2}
+
+
+def fit_or_fail(fault):
+    """alma_fit, except that candidate m=4 raises or ends its process, or
+    every candidate first sleeps, as ``fault`` says."""
+    def fit(a, ranks, w_init, **kwargs):
+        if fault == "error" and len(ranks) == 4:
+            raise RuntimeError("fit failed")
+        if fault == "dies" and len(ranks) == 4:
+            os._exit(3)
+        if fault == "interrupt":
+            time.sleep(1.0)
+        return alma_fit(a, ranks, w_init, **kwargs)
+    return fit
+
+
+def interrupt_the_caller(monkeypatch):
+    """The caller is interrupted as it first waits for a worker's reply,
+    with every worker at work on a call."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "wait", interrupted)
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("fault, raised", [
+    (None, None),
+    ("error", "fit failed"),
+    ("dies", "a forked worker process ended unexpectedly"),
+    ("interrupt", KeyboardInterrupt),
+], ids=["normal", "worker-error", "worker-dies", "interrupt"])
+def test_an_elbow_scan_leaves_no_process_thread_or_count_behind(monkeypatch, fault, raised):
+    monkeypatch.setattr(harness, "alma_fit", fit_or_fail(fault))
+    if fault == "interrupt":
+        interrupt_the_caller(monkeypatch)
+    usable_cpus(monkeypatch, 2)
+    a = elbow_input()
+    before = threading.active_count()
+    found = linalg.pin_blas_threads(2)
+    try:
+        if raised is None:
+            assert [r.stop_reason for r in scan(a)] == ["budget"] * 4
+        elif raised is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                scan(a)
+        else:
+            with pytest.raises(RuntimeError, match=raised):
+                scan(a)
+        assert blas_thread_count() == 2
+    finally:
+        linalg.pin_blas_threads(found)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+
+
+def masked_sweep(cfg):
+    return [repr(replace(r, seconds=0.0)) for r in run_scenario(cfg)]
+
+
+def in_a_pool_worker(fn, arg):
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        return pool.apply(fn, (arg,))
+
+
+def in_a_fan_out_worker(fn, arg):
+    # two calls on two workers, so that each runs in a forked worker
+    return harness._fan_out(fn, arg, [(), ()], 2)[0]
+
+
+@pytest.mark.parametrize("run_in", [in_a_pool_worker, in_a_fan_out_worker],
+                         ids=["pool-worker", "fan-out-worker"])
+def test_a_sweep_in_a_daemonic_process_runs_its_cells_there(run_in):
+    # multiprocessing lets no daemonic process fork, so a sweep there runs
+    # its cells in that process at any thread count
+    cfg = tiny_cfg(threads=2)
+    assert run_in(masked_sweep, cfg) == masked_sweep(replace(cfg, threads=1))
+
+
+@needs_blas_pin
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("job", ["elbow", "sweep"])
+def test_no_fan_out_worker_starts_a_blas_thread_pool(monkeypatch, job):
+    # a fork shuts OpenBLAS's pools down and setting a count starts one
+    # again, whose threads busy-wait on the CPUs the other workers need; so
+    # the workers inherit their counts, set before the fork, and set none
+    threads = SharedLog(width=2)  # (process, its threads) before and after every call
+
+    def log():
+        threads.append((os.getpid(), len(os.listdir("/proc/self/task"))))
+
+    def logged(fn):
+        def call(*args, **kwargs):
+            log()
+            out = fn(*args, **kwargs)
+            log()
+            return out
+        return call
+
+    if job == "elbow":
+        monkeypatch.setattr(harness, "alma_fit", logged(alma_fit))
+        usable_cpus(monkeypatch, 2)
+        run = lambda: scan(elbow_input())
+    else:
+        monkeypatch.setattr(harness, "run_single", logged(run_single))
+        run = lambda: run_scenario(tiny_cfg(threads=2))
+    found = (blas_thread_count(), scipy_blas_thread_count())
+    run()
+    workers = {pid for pid, _ in threads}
+    assert len(workers) == 2 and os.getpid() not in workers
+    assert {count for _, count in threads} == {1}
+    assert (blas_thread_count(), scipy_blas_thread_count()) == found

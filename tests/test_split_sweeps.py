@@ -17,7 +17,7 @@ from alma.initialization import spectral_init
 from alma.linalg import LANCZOS_MIN_N
 from alma.sampling import substream
 from alma.solver import alma_fit
-from conftest import SharedLog, blas_thread_count, make_noisy, one_cpu
+from conftest import SharedLog, blas_thread_count, make_noisy, one_cpu, scipy_blas_thread_count
 
 pytestmark = pytest.mark.skipif(
     linalg.pin_blas_threads is None or len(os.sched_getaffinity(0)) < 2,
@@ -167,12 +167,6 @@ def test_a_split_fit_leaves_no_process_and_the_thread_count_as_found(
     assert len(helpers) >= 1
     assert multiprocessing.active_children() == []
     assert blas_thread_count() == found
-
-
-def scipy_blas_thread_count():
-    found = linalg._scipy_openblas_threads_local(1)
-    linalg._scipy_openblas_threads_local(found)
-    return found
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
